@@ -115,6 +115,10 @@ void conv_bench_backend(benchmark::State& state, bool backward) {
   g.fill(0.1f);
   for (auto _ : state) {
     if (backward) {
+      // backward() consumes the panels its training forward kept.
+      state.PauseTiming();
+      conv.forward(x, true);
+      state.ResumeTiming();
       Tensor dx = conv.backward(g);
       benchmark::DoNotOptimize(dx.data());
     } else {
@@ -168,6 +172,10 @@ void BM_ResNetConvBackward(benchmark::State& state) {
   Tensor g(y.shape());
   g.fill(0.1f);
   for (auto _ : state) {
+    // backward() consumes the panels its training forward kept.
+    state.PauseTiming();
+    conv.forward(x, true);
+    state.ResumeTiming();
     Tensor dx = conv.backward(g);
     benchmark::DoNotOptimize(dx.data());
   }
@@ -195,6 +203,10 @@ void grouped_conv_bench(benchmark::State& state, bool backward) {
   g.fill(0.1f);
   for (auto _ : state) {
     if (backward) {
+      // backward() consumes the panels its training forward kept.
+      state.PauseTiming();
+      conv.forward(x, true);
+      state.ResumeTiming();
       Tensor dx = conv.backward(g);
       benchmark::DoNotOptimize(dx.data());
     } else {

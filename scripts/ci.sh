@@ -55,21 +55,23 @@ FEDTRANS_TRACE=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 
 if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
   # ASan+UBSan over the kernel-heavy suites (tensor, dtype, GEMM backends,
-  # conv lowerings, layers).
+  # conv lowerings, layers) and the bitwise training golden, whose hashes
+  # must hold under the sanitizer build too.
   SAN_DIR="$BUILD_DIR-asan"
   cmake -B "$SAN_DIR" -S . -DFEDTRANS_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS" --target \
     test_tensor test_gemm_simd test_mixed_precision test_backend \
-    test_layers test_layers_extended
+    test_layers test_layers_extended test_train_golden
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended)$'
+    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|train_golden)$'
 
   # Scalar-only build: the always-on parity reference must stay
-  # warnings-clean without any SIMD code paths compiled in.
+  # warnings-clean without any SIMD code paths compiled in, and reproduce
+  # the scalar-tier training golden.
   NOSIMD_DIR="$BUILD_DIR-nosimd"
   cmake -B "$NOSIMD_DIR" -S . -DFEDTRANS_SIMD=OFF -DFEDTRANS_WERROR=ON
   cmake --build "$NOSIMD_DIR" -j "$JOBS" --target \
-    test_gemm_simd test_mixed_precision
+    test_gemm_simd test_mixed_precision test_train_golden
   ctest --test-dir "$NOSIMD_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(gemm_simd|mixed_precision)$'
+    -R 'test_(gemm_simd|mixed_precision|train_golden)$'
 fi

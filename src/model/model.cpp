@@ -48,6 +48,13 @@ Tensor Block::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Block::backward_params(const Tensor& grad_out) {
+  Tensor g = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i)
+    g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
+}
+
 std::vector<ParamRef> Block::params() {
   std::vector<ParamRef> ps;
   for (auto& l : layers_)
@@ -253,11 +260,8 @@ void Model::compute_macs() {
 }
 
 Tensor Model::forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  if (spec_.kind == CellKind::Mlp && h.ndim() == 4) {
-    // Mlp stem starts with Flatten, which accepts 4-D input directly.
-  }
-  h = stem_->forward(h, train);
+  // (The Mlp stem starts with Flatten, which accepts 4-D input directly.)
+  Tensor h = stem_->forward(x, train);
   for (auto& cell : cells_)
     for (auto& b : cell) h = b->forward(h, train);
   if (head_pool_) h = head_pool_->forward(h, train);
@@ -270,7 +274,7 @@ void Model::backward(const Tensor& grad_logits) {
   for (auto cit = cells_.rbegin(); cit != cells_.rend(); ++cit)
     for (auto bit = cit->rbegin(); bit != cit->rend(); ++bit)
       g = (*bit)->backward(g);
-  stem_->backward(g);
+  stem_->backward_params(g);
 }
 
 void Model::zero_grad() {

@@ -16,6 +16,9 @@ class Block {
 
   Tensor forward(const Tensor& x, bool train);
   Tensor backward(const Tensor& grad_out);
+  /// Parameter gradients only (the stem, whose input gradient nobody reads):
+  /// the first layer runs Layer::backward_params.
+  void backward_params(const Tensor& grad_out);
 
   std::vector<ParamRef> params();
   std::size_t num_layers() const { return layers_.size(); }

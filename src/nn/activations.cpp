@@ -1,22 +1,37 @@
 #include "nn/activations.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
+#include "common/vectorize.hpp"
 
 namespace fedtrans {
 
-Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
-  cached_x_ = x;
+FT_VECTORIZE
+Tensor ReLU::forward(const Tensor& x, bool train) {
+  if (train)
+    cached_x_ = x;
+  else
+    cached_x_ = Tensor();
   Tensor y = x;
-  for (std::int64_t i = 0; i < y.numel(); ++i)
-    if (y[i] < 0.0f) y[i] = 0.0f;
+  float* p = y.data();
+  const std::int64_t n = y.numel();
+  // std::max(v, 0) is (v < 0 ? 0 : v): −0 and NaN pass through unchanged,
+  // and the select has no branch to mispredict.
+  for (std::int64_t i = 0; i < n; ++i) p[i] = std::max(p[i], 0.0f);
   return y;
 }
 
+FT_VECTORIZE
 Tensor ReLU::backward(const Tensor& grad_out) {
-  FT_CHECK(grad_out.same_shape(cached_x_));
+  FT_CHECK_MSG(grad_out.same_shape(cached_x_),
+               "ReLU::backward needs a preceding forward(x, train=true)");
   Tensor dx = grad_out;
-  for (std::int64_t i = 0; i < dx.numel(); ++i)
-    if (cached_x_[i] <= 0.0f) dx[i] = 0.0f;
+  const float* x = cached_x_.data();
+  float* g = dx.data();
+  const std::int64_t n = dx.numel();
+  // Zero where x <= 0 (so also at ±0); a NaN input passes its gradient.
+  for (std::int64_t i = 0; i < n; ++i) g[i] = x[i] <= 0.0f ? 0.0f : g[i];
   return dx;
 }
 

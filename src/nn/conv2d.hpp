@@ -9,7 +9,7 @@ namespace fedtrans {
 /// square kernel, symmetric padding. Forward/backward lower onto the blocked
 /// GEMM via im2col/col2im by default; the original direct loop nest is kept
 /// as a reference implementation selectable through set_conv_backend() for
-/// parity testing.
+/// parity testing. backward() runs on the backend its forward used.
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride = 1,
@@ -23,6 +23,8 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// gw/gb exactly as backward() accumulates them, without computing dX.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   std::int64_t macs(const std::vector<int>& in_shape) const override;
   std::vector<int> out_shape(const std::vector<int>& in_shape) const override;
@@ -44,13 +46,14 @@ class Conv2d : public Layer {
  private:
   int out_hw(int in_hw) const { return (in_hw + 2 * pad_ - k_) / stride_ + 1; }
   void forward_direct(const Tensor& x, Tensor& y);
+  Tensor backward_impl(const Tensor& grad_out, bool want_dx);
   Tensor backward_direct(const Tensor& grad_out);
 
   int in_c_, out_c_, k_, stride_, pad_;
   bool has_bias_;
   Tensor w_, gw_;
   Tensor b_, gb_;
-  Tensor cached_x_;
+  ConvCache cache_;
 };
 
 }  // namespace fedtrans

@@ -51,19 +51,24 @@ void GroupedConv2d::init(Rng& rng) {
   if (has_bias_) b_.zero();
 }
 
-Tensor GroupedConv2d::forward(const Tensor& x, bool /*train*/) {
+Tensor GroupedConv2d::forward(const Tensor& x, bool train) {
   FT_SPAN("kernel", "grouped_conv2d_fwd");
   FT_CHECK_MSG(x.ndim() == 4 && x.dim(1) == in_c_,
                "GroupedConv2d expects [N," << in_c_ << ",H,W]");
-  cached_x_ = x;
+  cache_.clear();
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int oh = out_hw(h), ow = out_hw(w);
   FT_CHECK_MSG(oh > 0 && ow > 0, "conv output collapsed to zero size");
   Tensor y({n, out_c_, oh, ow});
   if (conv_backend() == ConvBackend::Im2col) {
     const ConvDims d{in_c_, out_c_, k_, stride_, pad_, groups_};
-    conv_forward_im2col(x, w_, has_bias_ ? &b_ : nullptr, d, y);
+    conv_forward_im2col(x, w_, has_bias_ ? &b_ : nullptr, d, y,
+                        train ? &cache_ : nullptr);
   } else {
+    if (train) {
+      cache_.in_shape = x.shape();
+      cache_.x = x;
+    }
     forward_direct(x, y);
   }
   return y;
@@ -114,25 +119,24 @@ void GroupedConv2d::forward_direct(const Tensor& x, Tensor& y) {
 
 Tensor GroupedConv2d::backward(const Tensor& grad_out) {
   FT_SPAN("kernel", "grouped_conv2d_bwd");
-  const Tensor& x = cached_x_;
-  FT_CHECK(x.ndim() == 4);
-  {
-    const int n = x.dim(0);
-    const int oh = out_hw(x.dim(2)), ow = out_hw(x.dim(3));
-    FT_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == n &&
-             grad_out.dim(1) == out_c_ && grad_out.dim(2) == oh &&
-             grad_out.dim(3) == ow);
-  }
-  if (conv_backend() == ConvBackend::Im2col) {
-    const ConvDims d{in_c_, out_c_, k_, stride_, pad_, groups_};
-    return conv_backward_im2col(x, grad_out, w_, gw_,
-                                has_bias_ ? &gb_ : nullptr, d);
-  }
-  return backward_direct(grad_out);
+  FT_CHECK_MSG(!cache_.empty(),
+               "GroupedConv2d::backward needs a preceding "
+               "forward(x, train=true)");
+  const std::vector<int>& in = cache_.in_shape;
+  FT_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == in[0] &&
+           grad_out.dim(1) == out_c_ && grad_out.dim(2) == out_hw(in[2]) &&
+           grad_out.dim(3) == out_hw(in[3]));
+  const ConvDims d{in_c_, out_c_, k_, stride_, pad_, groups_};
+  Tensor dx = cache_.panels
+                  ? conv_backward_im2col(cache_, grad_out, w_, gw_,
+                                         has_bias_ ? &gb_ : nullptr, d)
+                  : backward_direct(grad_out);
+  cache_.clear();
+  return dx;
 }
 
 Tensor GroupedConv2d::backward_direct(const Tensor& grad_out) {
-  const Tensor& x = cached_x_;
+  const Tensor& x = cache_.x;
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int oh = out_hw(h), ow = out_hw(w);
   const int icg = in_c_ / groups_;

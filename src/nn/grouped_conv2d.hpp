@@ -55,7 +55,7 @@ class GroupedConv2d : public Layer {
   bool has_bias_;
   Tensor w_, gw_;
   Tensor b_, gb_;
-  Tensor cached_x_;
+  ConvCache cache_;
 };
 
 /// Depthwise-separable convolution block (depthwise k×k + pointwise 1×1),

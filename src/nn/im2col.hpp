@@ -1,5 +1,8 @@
 #pragma once
 
+#include <memory>
+#include <vector>
+
 #include "tensor/tensor.hpp"
 
 namespace fedtrans {
@@ -38,18 +41,52 @@ struct ConvDims {
   int groups = 1;
 };
 
+/// What a conv layer's training forward leaves for its backward. The
+/// im2col lowering keeps its column panels — every batch tile and group,
+/// exactly as the forward GEMMs read them — so backward computes dW from
+/// them instead of unfolding x a second time; the Direct reference keeps a
+/// copy of x instead. Empty after an eval forward and after backward, which
+/// consumes it. A copied layer starts empty, as a clone() does.
+struct ConvCache {
+  std::vector<int> in_shape;  ///< [N, C, H, W] of the input; empty = none
+  std::unique_ptr<float[]> panels;  ///< im2col backend
+  Tensor x;                         ///< Direct backend
+
+  ConvCache() = default;
+  ConvCache(const ConvCache&) {}
+  ConvCache& operator=(const ConvCache&) {
+    clear();
+    return *this;
+  }
+  ConvCache(ConvCache&&) = default;
+  ConvCache& operator=(ConvCache&&) = default;
+
+  bool empty() const { return in_shape.empty(); }
+  void clear() {
+    in_shape.clear();
+    panels.reset();
+    x = Tensor();
+  }
+};
+
 /// y[N, out_c, oh, ow] = conv(x) + bias, lowered per group onto
 /// gemm(W_g [ocg, icg·k·k] × col_g [icg·k·k, bt·oh·ow]) where the column
 /// panel concatenates a tile of `bt` batch images along N — so grouped
 /// models get dense-sized GEMMs instead of one sliver per (image, group).
-/// `bias` may be null.
+/// `bias` may be null. With `keep`, the panels are unfolded into (and left
+/// in) keep->panels for conv_backward_im2col; without, into a thread-local
+/// scratch buffer.
 void conv_forward_im2col(const Tensor& x, const Tensor& w, const Tensor* bias,
-                         const ConvDims& d, Tensor& y);
+                         const ConvDims& d, Tensor& y,
+                         ConvCache* keep = nullptr);
 
-/// Backward pass of the same lowering: accumulates into `gw` (and `gb` if
-/// non-null) and returns dL/dx. `grad_out` is [N, out_c, oh, ow].
-Tensor conv_backward_im2col(const Tensor& x, const Tensor& grad_out,
+/// Backward pass of the same lowering from the panels a training forward
+/// kept: accumulates into `gw` (and `gb` if non-null) and returns dL/dx.
+/// `grad_out` is [N, out_c, oh, ow]. With `want_dx` false (a model's first
+/// layer, whose input gradient nobody reads) the dcol GEMM and col2im are
+/// skipped and an empty tensor is returned; gw/gb are bitwise the same.
+Tensor conv_backward_im2col(const ConvCache& cache, const Tensor& grad_out,
                             const Tensor& w, Tensor& gw, Tensor* gb,
-                            const ConvDims& d);
+                            const ConvDims& d, bool want_dx = true);
 
 }  // namespace fedtrans

@@ -23,12 +23,20 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// `train` enables behaviours that differ between train/eval (none of the
-  /// current layers differ, but the flag is part of the public contract).
+  /// `train` enables behaviours that differ between train/eval (Dropout,
+  /// BatchNorm statistics) and says whether a backward() will follow. An
+  /// eval forward (`train` false) of Conv2d, GroupedConv2d, ScaleShift and
+  /// ReLU caches nothing and drops what an earlier training forward cached,
+  /// so a backward() after it fails through FT_CHECK rather than reading
+  /// stale state. The conv layers' backward() also consumes the cache.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
   /// Given dLoss/dOutput, accumulate parameter gradients and return
   /// dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// backward() for a caller that discards dLoss/dInput (a model's first
+  /// layer): the same parameter gradients, bit for bit. Conv2d overrides it
+  /// to skip the input-gradient GEMM and fold.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
 
   virtual std::vector<ParamRef> params() { return {}; }
   /// Multiply-accumulate operations per *single sample* given the input

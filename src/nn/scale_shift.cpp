@@ -1,6 +1,7 @@
 #include "nn/scale_shift.hpp"
 
 #include "common/check.hpp"
+#include "common/vectorize.hpp"
 
 namespace fedtrans {
 
@@ -10,10 +11,14 @@ ScaleShift::ScaleShift(int channels)
   FT_CHECK(channels > 0);
 }
 
-Tensor ScaleShift::forward(const Tensor& x, bool /*train*/) {
+FT_VECTORIZE
+Tensor ScaleShift::forward(const Tensor& x, bool train) {
   FT_CHECK_MSG((x.ndim() == 4 || x.ndim() == 2) && x.dim(1) == c_,
                "ScaleShift expects channel dim " << c_);
-  cached_x_ = x;
+  if (train)
+    cached_x_ = x;
+  else
+    cached_x_ = Tensor();
   Tensor y = x;
   const int n = x.dim(0);
   const auto plane = x.ndim() == 4
@@ -29,8 +34,10 @@ Tensor ScaleShift::forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
+FT_VECTORIZE
 Tensor ScaleShift::backward(const Tensor& grad_out) {
-  FT_CHECK(grad_out.same_shape(cached_x_));
+  FT_CHECK_MSG(grad_out.same_shape(cached_x_),
+               "ScaleShift::backward needs a preceding forward(x, train=true)");
   const int n = grad_out.dim(0);
   const auto plane =
       grad_out.ndim() == 4
@@ -41,13 +48,16 @@ Tensor ScaleShift::backward(const Tensor& grad_out) {
     for (int ch = 0; ch < c_; ++ch) {
       const std::int64_t base = (static_cast<std::int64_t>(b) * c_ + ch) *
                                 plane;
-      double ds = 0.0, db = 0.0;
+      const float* g = grad_out.data() + base;
+      const float* x = cached_x_.data() + base;
+      float* d = dx.data() + base;
       const float sc = s_[ch];
+      for (std::int64_t i = 0; i < plane; ++i) d[i] = g[i] * sc;
+      // In-order double sums (a float·float product is exact in double).
+      double ds = 0.0, db = 0.0;
       for (std::int64_t i = 0; i < plane; ++i) {
-        const float g = grad_out[base + i];
-        ds += static_cast<double>(g) * cached_x_[base + i];
-        db += g;
-        dx[base + i] = g * sc;
+        ds += static_cast<double>(g[i]) * x[i];
+        db += g[i];
       }
       gs_[ch] += static_cast<float>(ds);
       gb_[ch] += static_cast<float>(db);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/vectorize.hpp"
 
 namespace fedtrans {
 
@@ -23,6 +24,7 @@ void Sgd::set_prox_anchor() {
   for (const auto& p : params_) anchor_.push_back(*p.value);
 }
 
+FT_VECTORIZE
 void Sgd::step() {
   if (opts_.loss_scale != 1.0) {
     const float inv = static_cast<float>(1.0 / opts_.loss_scale);

@@ -134,6 +134,8 @@ void trace_record(const TraceEvent& ev) {
   buf.events.push_back(ev);
 }
 
+std::int32_t trace_thread_track() { return local_buffer().thread_index; }
+
 void trace_start(TraceClock clock) {
   const int mode = clock == TraceClock::Virtual ? 2 : 1;
   g_last_clock.store(mode, std::memory_order_relaxed);

@@ -92,6 +92,8 @@ double trace_now_us();
 /// Append one event to the calling thread's buffer (enabled mode only —
 /// callers go through the macros, which check the mode first).
 void trace_record(const TraceEvent& ev);
+/// Wall-clock track of the calling thread: its buffer's registration index.
+std::int32_t trace_thread_track();
 
 /// Merge every thread's buffer and write Chrome trace_event JSON. Events
 /// are stably sorted by (ts, track, name) and virtual-mode tracks carry
@@ -130,6 +132,7 @@ class ScopedSpan {
     ev.dur_us = trace_now_us() - start_us_;
     ev.arg_name = arg_name_;
     ev.arg_val = arg_val_;
+    ev.track = trace_thread_track();
     trace_record(ev);
   }
   ScopedSpan(const ScopedSpan&) = delete;

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/vectorize.hpp"
 
 namespace fedtrans {
 
@@ -73,6 +74,7 @@ float Tensor::at(int i0, int i1, int i2, int i3) const {
   return (*this)[flat_index(std::array{i0, i1, i2, i3})];
 }
 
+FT_VECTORIZE
 void Tensor::fill(float v) {
   for (auto& x : data_) x = v;
 }
@@ -85,23 +87,27 @@ Tensor Tensor::reshape(std::vector<int> new_shape) const {
   return t;
 }
 
+FT_VECTORIZE
 Tensor& Tensor::add_(const Tensor& other) {
   FT_CHECK_MSG(same_shape(other), "add_ shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
 
+FT_VECTORIZE
 Tensor& Tensor::sub_(const Tensor& other) {
   FT_CHECK_MSG(same_shape(other), "sub_ shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
   return *this;
 }
 
+FT_VECTORIZE
 Tensor& Tensor::mul_(float s) {
   for (auto& x : data_) x *= s;
   return *this;
 }
 
+FT_VECTORIZE
 Tensor& Tensor::axpy_(float s, const Tensor& other) {
   FT_CHECK_MSG(same_shape(other), "axpy_ shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += s * other.data_[i];
@@ -198,18 +204,22 @@ Tensor Tensor::load(std::istream& is) {
   return t;
 }
 
+// Tagged like the in-place op it calls, so that op still inlines here.
+FT_VECTORIZE
 Tensor add(const Tensor& a, const Tensor& b) {
   Tensor c = a;
   c.add_(b);
   return c;
 }
 
+FT_VECTORIZE
 Tensor sub(const Tensor& a, const Tensor& b) {
   Tensor c = a;
   c.sub_(b);
   return c;
 }
 
+FT_VECTORIZE
 Tensor scale(const Tensor& a, float s) {
   Tensor c = a;
   c.mul_(s);

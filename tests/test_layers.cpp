@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+
 #include "common/check.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/grouped_conv2d.hpp"
+#include "nn/im2col.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/scale_shift.hpp"
@@ -101,6 +108,151 @@ TEST(Conv2d, CloneIsIndependentDeepCopy) {
   EXPECT_NE(conv.weight()[0], cc->weight()[0]);
 }
 
+// ---- Training caches and the params-only backward ---------------------------
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+struct ConvShape {
+  int in_c, out_c, kernel, stride, pad, groups;
+};
+
+std::unique_ptr<Layer> make_conv(const ConvShape& s, Rng& rng) {
+  if (s.groups == 1) {
+    auto conv = std::make_unique<Conv2d>(s.in_c, s.out_c, s.kernel, s.stride,
+                                         s.pad);
+    conv->init(rng);
+    return conv;
+  }
+  auto conv = std::make_unique<GroupedConv2d>(s.in_c, s.out_c, s.kernel,
+                                              s.groups, s.stride, s.pad);
+  conv->init(rng);
+  return conv;
+}
+
+// The model's first layer skips its input gradient; its weight and bias
+// gradients must still accumulate exactly as a full backward() would.
+TEST(Conv2d, ParamsOnlyBackwardAccumulatesBitwiseLikeBackward) {
+  const ConvShape shapes[] = {
+      {3, 5, 3, 1, -1, 1}, {4, 6, 3, 2, 0, 1}, {3, 4, 5, 2, 2, 1},
+      {2, 3, 1, 1, 0, 1},  {4, 8, 3, 1, -1, 2}, {6, 6, 3, 2, -1, 6},
+  };
+  for (ConvBackend backend : {ConvBackend::Im2col, ConvBackend::Direct}) {
+    set_conv_backend(backend);
+    for (const ConvShape& s : shapes) {
+      Rng rng(31);
+      auto full = make_conv(s, rng);
+      auto params_only = full->clone();
+      Tensor x({3, s.in_c, 9, 7});
+      x.randn(rng);
+      Tensor g(full->forward(x, true).shape());
+      g.randn(rng);
+      params_only->forward(x, true);
+      // Non-zero starting gradients: accumulation is what is compared.
+      for (auto* l : {full.get(), params_only.get()})
+        for (auto& p : l->params()) p.grad->fill(0.25f);
+      full->backward(g);
+      params_only->backward_params(g);
+      auto pf = full->params();
+      auto pp = params_only->params();
+      ASSERT_EQ(pf.size(), pp.size());
+      for (std::size_t i = 0; i < pf.size(); ++i)
+        EXPECT_TRUE(bitwise_equal(*pf[i].grad, *pp[i].grad))
+            << pf[i].name << " k=" << s.kernel << " stride=" << s.stride
+            << " groups=" << s.groups;
+    }
+  }
+  set_conv_backend(ConvBackend::Im2col);
+}
+
+// An eval forward caches nothing and drops what a training forward cached:
+// a backward() after it must fail loudly instead of reading stale state.
+// The conv layers' backward() also consumes its cache.
+TEST(LayerCache, BackwardAfterEvalForwardFailsThroughCheck) {
+  for (ConvBackend backend : {ConvBackend::Im2col, ConvBackend::Direct}) {
+    set_conv_backend(backend);
+    Rng rng(8);
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(make_conv({4, 4, 3, 1, -1, 1}, rng));
+    layers.push_back(make_conv({4, 4, 3, 1, -1, 2}, rng));
+    layers.push_back(std::make_unique<ScaleShift>(4));
+    layers.push_back(std::make_unique<ReLU>());
+    Tensor x({2, 4, 6, 5});
+    x.randn(rng);
+    for (auto& l : layers) {
+      const Tensor y_train = l->forward(x, true);
+      const Tensor g(y_train.shape(), 1.0f);
+      EXPECT_NO_THROW(l->backward(g)) << l->name();
+      // Eval forwards compute the same output, bit for bit.
+      EXPECT_TRUE(bitwise_equal(l->forward(x, false), y_train)) << l->name();
+      EXPECT_THROW(l->backward(g), Error) << l->name();
+      l->forward(x, true);
+      l->forward(x, false);
+      EXPECT_THROW(l->backward(g), Error) << l->name();
+    }
+    for (std::size_t i = 0; i < 2; ++i) {
+      const Tensor g(layers[i]->forward(x, true).shape());
+      layers[i]->backward_params(g);
+      EXPECT_THROW(layers[i]->backward(g), Error)
+          << "conv backward must consume its cache";
+    }
+  }
+  set_conv_backend(ConvBackend::Im2col);
+}
+
+// The unfold/fold loops split each kernel tap into zero edges and an
+// in-bounds interior; both must equal a per-element bounds-tested loop bit
+// for bit, including taps that fall entirely into the padding.
+TEST(Im2col, UnfoldAndFoldMatchPerElementReference) {
+  struct Geo {
+    int c, h, w, k, stride, pad;
+  };
+  const Geo geos[] = {{2, 7, 9, 3, 1, 1}, {3, 8, 8, 3, 2, 1},
+                      {1, 6, 5, 5, 1, 2}, {2, 5, 7, 1, 1, 2},
+                      {2, 9, 6, 3, 3, 0}, {1, 4, 4, 3, 1, 3},
+                      {2, 10, 7, 4, 2, 3}};
+  Rng rng(12);
+  for (const Geo& g : geos) {
+    const int oh = (g.h + 2 * g.pad - g.k) / g.stride + 1;
+    const int ow = (g.w + 2 * g.pad - g.k) / g.stride + 1;
+    const auto rows = static_cast<std::int64_t>(g.c) * g.k * g.k;
+    const auto plane = static_cast<std::int64_t>(oh) * ow;
+    Tensor im({g.c, g.h, g.w});
+    im.randn(rng);
+    Tensor col({static_cast<int>(rows), static_cast<int>(plane)});
+    col.randn(rng);  // every element must be overwritten
+    im2col(im.data(), g.c, g.h, g.w, g.k, g.stride, g.pad, col.data());
+
+    Tensor dcol(col.shape());
+    dcol.randn(rng);
+    Tensor folded = im;  // col2im accumulates
+    col2im(dcol.data(), g.c, g.h, g.w, g.k, g.stride, g.pad, folded.data());
+
+    Tensor col_ref(col.shape());
+    Tensor folded_ref = im;
+    for (int ch = 0; ch < g.c; ++ch)
+      for (int ky = 0; ky < g.k; ++ky)
+        for (int kx = 0; kx < g.k; ++kx)
+          for (int oy = 0; oy < oh; ++oy)
+            for (int ox = 0; ox < ow; ++ox) {
+              const std::int64_t r = (ch * g.k + ky) * g.k + kx;
+              const std::int64_t at = r * plane + oy * ow + ox;
+              const int iy = oy * g.stride - g.pad + ky;
+              const int ix = ox * g.stride - g.pad + kx;
+              const bool in = iy >= 0 && iy < g.h && ix >= 0 && ix < g.w;
+              col_ref[at] = in ? im.at(ch, iy, ix) : 0.0f;
+              if (in) folded_ref.at(ch, iy, ix) += dcol[at];
+            }
+    EXPECT_TRUE(bitwise_equal(col, col_ref))
+        << "im2col k=" << g.k << " stride=" << g.stride << " pad=" << g.pad;
+    EXPECT_TRUE(bitwise_equal(folded, folded_ref))
+        << "col2im k=" << g.k << " stride=" << g.stride << " pad=" << g.pad;
+  }
+}
+
 TEST(ReLU, ForwardBackwardMasks) {
   ReLU relu;
   Tensor x = Tensor::from({4}, {-1, 0, 2, -3});
@@ -112,6 +264,24 @@ TEST(ReLU, ForwardBackwardMasks) {
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[1], 0.0f);  // gradient at exactly zero is zero
   EXPECT_EQ(dx[2], 1.0f);
+}
+
+// forward is max(v, 0) and backward a select on x <= 0: −0 stays −0, NaN
+// stays NaN and passes its gradient, exactly as compare-and-assign did.
+TEST(ReLU, SignedZeroAndNaNPassThroughUnchanged) {
+  ReLU relu;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x = Tensor::from({3}, {-0.0f, nan, -2.0f});
+  Tensor y = relu.forward(x, true);
+  EXPECT_EQ(y[0], 0.0f);
+  EXPECT_TRUE(std::signbit(y[0]));
+  EXPECT_TRUE(std::isnan(y[1]));
+  EXPECT_EQ(y[2], 0.0f);
+  EXPECT_FALSE(std::signbit(y[2]));
+  Tensor dx = relu.backward(Tensor::from({3}, {3.0f, 4.0f, 5.0f}));
+  EXPECT_EQ(dx[0], 0.0f);
+  EXPECT_EQ(dx[1], 4.0f);
+  EXPECT_EQ(dx[2], 0.0f);
 }
 
 TEST(ScaleShift, GradientCheck4d) {

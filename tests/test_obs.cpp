@@ -10,7 +10,8 @@
 // bitwise, across seeds and thread counts; (7) with tracing compiled in
 // but disabled, span/metric sites allocate nothing and record nothing;
 // (8) CostMeter caps its raw client-time samples while keeping exact
-// whole-run statistics, and checkpoints round-trip the capped form.
+// whole-run statistics, and checkpoints round-trip the capped form;
+// (9) wall spans export on the tid of the thread that recorded them.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <new>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,6 +173,34 @@ TEST(TraceTest, WallSpansNestAndThreadBuffersMerge) {
   EXPECT_LE(its + idur, ots + odur);
   trace_clear();
   EXPECT_EQ(trace_event_count(), 0u);
+}
+
+// Wall spans carry the recording thread's track, so spans of concurrent
+// threads land on separate tids and nesting (hence self time) is per
+// thread.
+TEST(TraceTest, WallSpansExportOnTheirThreadsTid) {
+  trace_clear();
+  trace_start(TraceClock::Wall);
+  std::int32_t tracks[2] = {-1, -1};
+  for (int t = 0; t < 2; ++t) {
+    std::thread([&tracks, t] {
+      FT_SPAN("test", "per_thread");
+      tracks[t] = trace_thread_track();
+    }).join();
+  }
+  trace_stop();
+  ASSERT_NE(tracks[0], tracks[1]);
+
+  std::ostringstream os;
+  ASSERT_EQ(trace_export_json(os), 2u);
+  const std::string json = os.str();
+  for (std::int32_t track : tracks) {
+    const std::string span = "{\"ph\":\"X\",\"pid\":1,\"tid\":" +
+                             std::to_string(track) +
+                             ",\"cat\":\"test\",\"name\":\"per_thread\"";
+    EXPECT_NE(json.find(span), std::string::npos) << json;
+  }
+  trace_clear();
 }
 
 TEST(TraceTest, VirtualExportIsAByteStableGolden) {
