@@ -105,30 +105,27 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
   FT_CHECK_MSG(strategy_ != nullptr, "engine requires a strategy");
   FT_CHECK_MSG(static_cast<int>(fleet_.size()) == data_.num_clients(),
                "fleet size must match client count");
-  // Validate the partial-aggregation/strategy combination here, at session
-  // build time, instead of letting the first round throw: a numeric tree
-  // can only pre-sum weighted-linear-sum reductions. Strategies that
-  // reduce non-linearly (robust aggregators, compressed uplinks) still
-  // compose with trees of any depth — in the default verbatim-bundle mode,
-  // where interior aggregators forward updates untouched.
-  if (cfg_.use_fabric && cfg_.topology.partial_aggregation &&
-      cfg_.topology.levels >= 2 && cfg_.mode == SessionMode::Sync)
-    FT_CHECK_MSG(
-        strategy_->supports_partial_aggregation(),
-        "SessionConfig: topology.partial_aggregation=true needs a strategy "
-        "whose reduction is a weighted linear sum, but strategy '"
-            << strategy_->name()
-            << "' reduces non-linearly (supports_partial_aggregation() is "
-               "false). Drop with_partial_aggregation() — verbatim bundles "
-               "compose with aggregation trees of any depth — or pick a "
-               "linear strategy (FedAvg without compression, FedTrans, "
-               "HeteroFL).");
-  FT_CHECK_MSG(
-      cfg_.topology.quantize_partials == PartialQuant::None ||
-          cfg_.topology.partial_aggregation,
-      "SessionConfig: topology.quantize_partials needs "
-      "topology.partial_aggregation — verbatim bundles must stay bit-exact, "
-      "only numeric group sums may be quantized on the wire");
+  // Validate the fabric topology and the partial-aggregation/strategy
+  // combination here, at session build time, instead of letting the first
+  // round (which builds the fabric lazily) throw. A numeric tree can only
+  // pre-sum weighted-linear-sum reductions. Strategies that reduce
+  // non-linearly (robust aggregators, compressed uplinks) still compose
+  // with trees of any depth — in the default verbatim-bundle mode, where
+  // interior aggregators forward updates untouched.
+  if (cfg_.use_fabric) {
+    validate_topology(cfg_.topology);
+    if (cfg_.topology.partial_aggregation && cfg_.mode == SessionMode::Sync)
+      FT_CHECK_MSG(
+          strategy_->supports_partial_aggregation(),
+          "SessionConfig: topology.partial_aggregation=true needs a "
+          "strategy whose reduction is a weighted linear sum, but strategy '"
+              << strategy_->name()
+              << "' reduces non-linearly (supports_partial_aggregation() is "
+                 "false). Drop with_partial_aggregation() — verbatim bundles "
+                 "compose with aggregation trees of any depth — or pick a "
+                 "linear strategy (FedAvg without compression, FedTrans, "
+                 "HeteroFL).");
+  }
   selector_ = make_selector(cfg_.selector);
   {
     RoundContext ctx = make_context();
@@ -159,7 +156,7 @@ RoundContext FederationEngine::make_context() {
 
 bool FederationEngine::numeric_rounds() const {
   if (!cfg_.use_fabric || !cfg_.topology.partial_aggregation ||
-      cfg_.topology.levels < 2 || cfg_.mode != SessionMode::Sync)
+      cfg_.mode != SessionMode::Sync)
     return false;
   FT_CHECK_MSG(strategy_->supports_partial_aggregation(),
                "partial_aggregation topology configured, but strategy '"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -19,9 +20,28 @@
 
 namespace fedtrans {
 
+void validate_topology(const FabricTopology& topo) {
+  FT_CHECK_MSG(topo.levels >= 1 && topo.levels <= 6,
+               "fabric topology supports 1 (flat) up to 6 aggregation "
+               "levels, got " << topo.levels);
+  FT_CHECK_MSG(topo.shards >= 1, "fabric topology needs >= 1 shard");
+  FT_CHECK_MSG(topo.branching >= 0, "negative fabric branching factor");
+  FT_CHECK_MSG(!topo.partial_aggregation || topo.levels >= 2,
+               "partial aggregation needs an aggregation tree (levels >= 2)");
+  FT_CHECK_MSG(topo.quantize_partials == PartialQuant::None ||
+                   topo.partial_aggregation,
+               "quantized partials (with_quantized_partials) require the "
+               "numeric reduction (with_partial_aggregation) — verbatim "
+               "bundles must stay bit-exact");
+  FT_CHECK_MSG(topo.max_retries >= 0 && topo.ack_timeout_s > 0.0,
+               "fabric retry policy needs max_retries >= 0 and a positive "
+               "ack timeout");
+}
+
 FabricTree::FabricTree(const FabricTopology& topo) : levels_(topo.levels) {
-  FT_CHECK_MSG(levels_ >= 2, "a fabric tree needs at least root + leaves");
+  FT_CHECK_MSG(levels_ >= 1, "a fabric tree needs at least its root");
   const int tiers = levels_ - 1;
+  const int leaves = tiers == 0 ? 1 : topo.shards;
   branching_ = topo.branching;
   if (branching_ <= 0) {
     // Auto fan-out: the smallest branching whose (levels-1)-fold power
@@ -29,29 +49,31 @@ FabricTree::FabricTree(const FabricTopology& topo) : levels_(topo.levels) {
     // about evenly.
     branching_ =
         tiers >= 2 ? std::max(2, static_cast<int>(std::ceil(std::pow(
-                                     static_cast<double>(topo.shards),
+                                     static_cast<double>(leaves),
                                      1.0 / static_cast<double>(tiers)))))
-                   : topo.shards;
+                   : leaves;
   }
-  width_.assign(static_cast<std::size_t>(tiers), 0);
-  width_[static_cast<std::size_t>(tiers - 1)] = topo.shards;
-  for (int t = tiers - 2; t >= 0; --t)
+  width_.assign(static_cast<std::size_t>(levels_), 1);
+  width_.back() = leaves;
+  for (int t = tiers - 1; t >= 1; --t)
     width_[static_cast<std::size_t>(t)] =
         (width_[static_cast<std::size_t>(t + 1)] + branching_ - 1) /
         branching_;
   // Leaves keep the historical endpoint ids aggregator_id(0..shards-1);
   // interior tiers take the ids above them, bottom-up.
-  offset_.assign(static_cast<std::size_t>(tiers), 0);
-  for (int t = tiers - 2; t >= 0; --t)
+  offset_.assign(static_cast<std::size_t>(levels_), 0);
+  for (int t = tiers - 1; t >= 1; --t)
     offset_[static_cast<std::size_t>(t)] =
         offset_[static_cast<std::size_t>(t + 1)] +
         width_[static_cast<std::size_t>(t + 1)];
   total_ = 0;
-  for (int w : width_) total_ += w;
+  for (int t = 1; t < levels_; ++t)
+    total_ += width_[static_cast<std::size_t>(t)];
 }
 
 std::int32_t FabricTree::node_id(int tier, int j) const {
-  return aggregator_id(offset_[static_cast<std::size_t>(tier - 1)] + j);
+  if (tier == 0) return kServerId;
+  return aggregator_id(offset_[static_cast<std::size_t>(tier)] + j);
 }
 
 std::int32_t FabricTree::parent_id(int tier, int j) const {
@@ -76,7 +98,7 @@ std::pair<int, int> FabricTree::leaf_range(int tier, int j) const {
 }
 
 std::pair<int, int> FabricTree::sibling_range(int leaf) const {
-  if (levels_ == 2) return {0, leaves()};  // all leaves share the root
+  if (levels_ <= 2) return {0, leaves()};  // all leaves share the root
   return child_range(levels_ - 2, leaf / branching_);
 }
 
@@ -144,8 +166,8 @@ std::string shared_body(const WeightSet& global) {
   return os.str();
 }
 
-/// Slot/sender validation shared by every update consumer (flat collect,
-/// leaf match, root merge): a task id is admissible iff it indexes the
+/// Slot/sender validation shared by every update consumer (leaf match,
+/// root merge): a task id is admissible iff it indexes the
 /// round's task list and was reported by the client owning that slot.
 /// First-arrival dedup stays with the caller — the structures differ.
 bool admissible_slot(std::int32_t task, std::int32_t sender,
@@ -248,6 +270,38 @@ PartialUpdate merge_bundles(std::vector<PartialUpdate> bundles,
               return a.min_slot < b.min_slot;
             });
   return m;
+}
+
+/// A frame a hop of an async round trip received, with its delivery time.
+struct Arrival {
+  FabricMessage msg;
+  double at_s = 0.0;
+};
+
+/// Drain `node`'s mailbox and keep the first `type` frame of async job
+/// `job` (duplicates: first arrival wins; undecodable frames are counted).
+/// Only called after a confirmed delivery, so the frame must be there.
+Arrival first_arrival(Transport& net, std::int32_t node, std::uint32_t job,
+                      MsgType type) {
+  Arrival a;
+  bool got = false;
+  for (Envelope& env : net.drain(node)) {
+    FabricMessage msg;
+    try {
+      msg = decode_message(env.frame);
+    } catch (const Error&) {
+      net.stats_mutable().frames_rejected.fetch_add(
+          1, std::memory_order_relaxed);
+      continue;
+    }
+    if (msg.round != job || msg.type != type || got) continue;
+    got = true;
+    a.msg = std::move(msg);
+    a.at_s = env.deliver_at_s;
+  }
+  FT_CHECK_MSG(got, "delivered async frame missing from the mailbox of "
+                    "endpoint " << node);
+  return a;
 }
 
 }  // namespace
@@ -426,6 +480,15 @@ void ClientAgent::poll(std::uint32_t round, const Model& prototype,
   }
 }
 
+namespace {
+
+const FabricTopology& validated(const FabricTopology& topo) {
+  validate_topology(topo);
+  return topo;
+}
+
+}  // namespace
+
 FederationServer::FederationServer(const Model& prototype,
                                    const ClientDataProvider& data,
                                    std::vector<DeviceProfile> fleet,
@@ -433,26 +496,14 @@ FederationServer::FederationServer(const Model& prototype,
                                    FabricTopology topology,
                                    TransportKind transport,
                                    SocketOptions socket)
-    : prototype_(prototype), data_(&data), local_(local), topo_(topology) {
+    : prototype_(prototype),
+      data_(&data),
+      local_(local),
+      topo_(validated(topology)),
+      tree_(topo_) {
   FT_CHECK_MSG(static_cast<int>(fleet.size()) == data.num_clients(),
                "fabric fleet size must match client count");
-  FT_CHECK_MSG(topo_.levels >= 1 && topo_.levels <= 6,
-               "fabric topology supports 1 (flat) up to 6 aggregation "
-               "levels, got " << topo_.levels);
-  FT_CHECK_MSG(topo_.shards >= 1, "fabric topology needs >= 1 shard");
-  FT_CHECK_MSG(topo_.branching >= 0, "negative fabric branching factor");
-  FT_CHECK_MSG(!topo_.partial_aggregation || topo_.levels >= 2,
-               "partial aggregation needs an aggregation tree (levels >= 2)");
-  FT_CHECK_MSG(topo_.max_retries >= 0 && topo_.ack_timeout_s > 0.0,
-               "fabric retry policy needs max_retries >= 0 and a positive "
-               "ack timeout");
-  FT_CHECK_MSG(topo_.quantize_partials == PartialQuant::None ||
-                   topo_.partial_aggregation,
-               "quantized partials (with_quantized_partials) require the "
-               "numeric reduction (with_partial_aggregation) — verbatim "
-               "bundles must stay bit-exact");
-  if (sharded()) tree_ = FabricTree(topo_);
-  if (topo_.broadcast_cache && sharded()) {
+  if (topo_.broadcast_cache) {
     // One receiver cache + one sender-side known-map per aggregator; sized
     // once so the per-node state never reallocates under the node-parallel
     // routing workers.
@@ -464,7 +515,8 @@ FederationServer::FederationServer(const Model& prototype,
 }
 
 int FederationServer::owner_leaf(std::uint32_t round, int s) const {
-  if (!net_->leaf_dead(round, s)) return s;
+  // The root is never a fault domain: a flat fabric's only leaf never dies.
+  if (tree_.leaf_id(s) == kServerId || !net_->leaf_dead(round, s)) return s;
   const auto [lo, hi] = tree_.sibling_range(s);
   for (int k = 1; k < hi - lo; ++k) {
     const int cand = lo + (s - lo + k) % (hi - lo);
@@ -540,10 +592,9 @@ FederationServer::ParsedBody FederationServer::parse_body(
 }
 
 std::string FederationServer::model_down_for(
-    std::uint32_t round, std::int32_t slot, int client,
-    const std::string& body, const ParsedBody* parsed,
-    const std::array<std::uint64_t, 4>& rng_state, std::uint8_t& flags) {
-  (void)round;
+    std::int32_t slot, int client, const std::string& body,
+    const ParsedBody* parsed, const std::array<std::uint64_t, 4>& rng_state,
+    std::uint8_t& flags) {
   flags = 0;
   if (topo_.delta_downlink && parsed != nullptr) {
     const auto entry = delta_store_.peek(client);
@@ -585,108 +636,33 @@ void FederationServer::send_join(std::uint32_t round, std::int32_t task,
   net_->send(coordinator, client, encode_message(join), sent_at_s);
 }
 
-void FederationServer::broadcast_shared(std::uint32_t round,
-                                        const WeightSet& global,
-                                        const std::vector<int>& clients,
-                                        const std::vector<Rng>& client_rngs) {
-  FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
-  // Serialize the weight set once; per task only the (tiny) slot id and
-  // Rng-state sections of the ModelDown payload differ, so broadcast is one
-  // encode plus a couple of memcpys per client rather than n WeightSet
-  // deep copies.
-  const std::string body = shared_body(global);
-
-  if (sharded()) {
-    std::vector<const std::string*> slot_body(clients.size(), &body);
-    broadcast_sharded(round, clients, client_rngs, slot_body);
-    return;
-  }
-
-  std::unique_ptr<ParsedBody> parsed;
-  if (topo_.delta_downlink)
-    parsed = std::make_unique<ParsedBody>(parse_body(body));
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int c = clients[i];
-    send_join(round, static_cast<std::int32_t>(i), c, kServerId);
-    std::uint8_t flags = 0;
-    const std::string payload =
-        model_down_for(round, static_cast<std::int32_t>(i), c, body,
-                       parsed.get(), client_rngs[i].state(), flags);
-    net_->send(kServerId, c,
-               encode_frame(MsgType::ModelDown, round, kServerId, c, payload,
-                            flags));
-  }
-}
-
-void FederationServer::broadcast_tasks(std::uint32_t round,
-                                       const std::vector<Model*>& payloads,
-                                       const std::vector<int>& clients,
-                                       const std::vector<Rng>& client_rngs) {
-  FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
-  // Architecture + weights ride the frame: the agent rebuilds the exact
-  // submodel this task trains, no shared prototype required. The engine
-  // hands tasks in the same payload_key group one Model instance, so the
-  // (large) spec + weights section is encoded once per distinct instance
-  // and reused; only the slot id and Rng state differ per frame.
-  std::unordered_map<const Model*, std::string> encoded;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    std::string& body = encoded[payloads[i]];
-    if (body.empty()) body = task_body(*payloads[i]);
-  }
-
-  if (sharded()) {
-    std::vector<const std::string*> slot_body(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i)
-      slot_body[i] = &encoded[payloads[i]];
-    broadcast_sharded(round, clients, client_rngs, slot_body);
-    return;
-  }
-
-  std::unordered_map<const std::string*, std::unique_ptr<ParsedBody>> parsed;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int c = clients[i];
-    const std::string& body = encoded[payloads[i]];
-    send_join(round, static_cast<std::int32_t>(i), c, kServerId);
-    const ParsedBody* pb = nullptr;
-    if (topo_.delta_downlink) {
-      auto& slot = parsed[&body];
-      if (!slot) slot = std::make_unique<ParsedBody>(parse_body(body));
-      pb = slot.get();
-    }
-    std::uint8_t flags = 0;
-    const std::string payload =
-        model_down_for(round, static_cast<std::int32_t>(i), c, body, pb,
-                       client_rngs[i].state(), flags);
-    net_->send(kServerId, c,
-               encode_frame(MsgType::ModelDown, round, kServerId, c, payload,
-                            flags));
-  }
-}
-
-void FederationServer::broadcast_sharded(
+void FederationServer::broadcast(
     std::uint32_t round, const std::vector<int>& clients,
     const std::vector<Rng>& client_rngs,
     const std::vector<const std::string*>& slot_body) {
-  FT_SPAN_ARG("server", "broadcast_sharded", "tasks", clients.size());
-  // Root → tree: one bundle per root child, built in a single pass over
-  // the task list (each distinct payload body copied once per child that
-  // references it — the broadcast hot path never materializes a full-tree
-  // bundle). Interior tiers split their bundle further; a bundle lost
-  // despite retries leaves its whole subtree's tasks at LostDown.
-  const int kids = tree_.tier_width(1);
+  FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
+  // One bundle per node of the tier below the root — or, on a flat fabric,
+  // the root's own bundle — built in a single pass over the task list
+  // (each distinct payload body copied once per bundle that references it;
+  // the broadcast hot path never materializes a full-tree bundle).
+  // Interior tiers split their bundle further; a bundle lost despite
+  // retries leaves its whole subtree's tasks at LostDown.
+  const int top = std::min(1, tree_.levels() - 1);
+  const int kids = tree_.tier_width(top);
+  const int leaves = tree_.leaves();
   std::vector<ShardDownlink> bundles(static_cast<std::size_t>(kids));
   std::vector<std::unordered_map<const std::string*, std::uint32_t>>
       body_idx(static_cast<std::size_t>(kids));
   for (int j = 0; j < kids; ++j) {
     auto& b = bundles[static_cast<std::size_t>(j)];
-    const auto [lo, hi] = tree_.leaf_range(1, j);
+    const auto [lo, hi] = tree_.leaf_range(top, j);
     b.leaf_lo = lo;
     b.leaf_hi = hi;
     b.shard = hi - lo == 1 ? lo : -1;
   }
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int leaf = static_cast<int>(i) % topo_.shards;
-    const auto j = static_cast<std::size_t>(tree_.node_covering(1, leaf));
+    const int leaf = static_cast<int>(i) % leaves;
+    const auto j = static_cast<std::size_t>(tree_.node_covering(top, leaf));
     auto& b = bundles[j];
     auto [it, fresh] = body_idx[j].emplace(
         slot_body[i], static_cast<std::uint32_t>(b.bodies.size()));
@@ -699,6 +675,13 @@ void FederationServer::broadcast_sharded(
     t.rng_state = client_rngs[i].state();
     b.tasks.push_back(t);
   }
+  leaf_served_.assign(static_cast<std::size_t>(leaves), {});
+  if (top == 0) {
+    // The root is its own only leaf: it fans its bundle out itself, at the
+    // round's start — no ShardDown frame.
+    fan_out(round, 0, bundles[0], /*sent_at_s=*/0.0);
+    return;
+  }
   for (int j = 0; j < kids; ++j)
     send_bundle(round, kServerId, 1, j, bundles[static_cast<std::size_t>(j)],
                 /*sent_at_s=*/0.0);
@@ -710,39 +693,29 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
                                    int tier, int j, const ShardDownlink& d,
                                    double sent_at_s) {
   if (d.tasks.empty()) return;
-  if (tier < topo_.levels - 1) {
-    // Interior destination: straight down under the retry policy. The elide
-    // mask is computed once per destination decision — retries reuse it, so
-    // cache savings are counted once even when the frame is resent.
-    const std::int32_t dst = tree_.node_id(tier, j);
+  // Ship `d` to `dst` under the retry policy. The elide mask is computed
+  // once per destination decision — retries reuse it, so cache savings are
+  // counted once even when the frame is resent; a confirmed delivery
+  // advances the sender-side mirror of the receiver's cache.
+  const auto ship = [&](std::int32_t dst, double at_s) {
     const std::vector<std::uint8_t> elide = elide_mask_for(dst, d);
     const bool delivered = send_with_retry(
-        *net_, src, dst, sent_at_s, topo_, /*downlink=*/true,
+        *net_, src, dst, at_s, topo_, /*downlink=*/true,
         [&](std::uint8_t flags) {
           return encode_shard_down(round, src, dst, d, flags,
                                    elide.empty() ? nullptr : &elide);
         });
     if (delivered) note_bundle_known(dst, d);
-    return;
-  }
+  };
+  // Interior destination: straight down.
+  if (tier < topo_.levels - 1) return ship(tree_.node_id(tier, j), sent_at_s);
   // Leaf destination: the per-shard fault domain. An alive leaf gets its
-  // partition's bundle under the retry policy; a dead one costs the parent
-  // the first (wasted) send, and one ack-timeout later the partition is
-  // redirected to the alive sibling — billed as failover traffic. With the
-  // whole sibling group down the partition is lost for the round.
+  // partition's bundle; a dead one costs the parent the first (wasted)
+  // send, and one ack-timeout later the partition is redirected to the
+  // alive sibling — billed as failover traffic. With the whole sibling
+  // group down the partition is lost for the round.
   const int owner = owner_leaf(round, j);
-  if (owner == j) {
-    const std::int32_t dst = tree_.leaf_id(j);
-    const std::vector<std::uint8_t> elide = elide_mask_for(dst, d);
-    const bool delivered = send_with_retry(
-        *net_, src, dst, sent_at_s, topo_, /*downlink=*/true,
-        [&](std::uint8_t flags) {
-          return encode_shard_down(round, src, dst, d, flags,
-                                   elide.empty() ? nullptr : &elide);
-        });
-    if (delivered) note_bundle_known(dst, d);
-    return;
-  }
+  if (owner == j) return ship(tree_.leaf_id(j), sent_at_s);
   // The wasted frame elides against the dead leaf's known-map (the sender
   // cannot know the leaf is dead yet), but never advances it — the mail
   // rots undecoded, so the leaf's cache saw nothing.
@@ -760,15 +733,7 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
                                                  std::memory_order_relaxed);
   net_->stats_mutable().failover_bytes_down.fetch_add(
       bytes, std::memory_order_relaxed);
-  const std::int32_t dst = tree_.leaf_id(owner);
-  const std::vector<std::uint8_t> elide = elide_mask_for(dst, d);
-  const bool delivered = send_with_retry(
-      *net_, src, dst, sent_at_s + topo_.ack_timeout_s, topo_,
-      /*downlink=*/true, [&](std::uint8_t flags) {
-        return encode_shard_down(round, src, dst, d, flags,
-                                 elide.empty() ? nullptr : &elide);
-      });
-  if (delivered) note_bundle_known(dst, d);
+  ship(tree_.leaf_id(owner), sent_at_s + topo_.ack_timeout_s);
 }
 
 void FederationServer::route_tiers_down(std::uint32_t round) {
@@ -801,7 +766,7 @@ void FederationServer::route_tiers_down(std::uint32_t round) {
               for (int c = clo; c < chi; ++c) {
                 const auto [llo, lhi] = tree_.leaf_range(t + 1, c);
                 send_bundle(round, tree_.node_id(t, j), t + 1, c,
-                            subset_bundle(d, topo_.shards, llo, lhi),
+                            subset_bundle(d, tree_.leaves(), llo, lhi),
                             env.deliver_at_s);
               }
             }
@@ -812,17 +777,12 @@ void FederationServer::route_tiers_down(std::uint32_t round) {
 
 void FederationServer::fan_out_shards(std::uint32_t round) {
   FT_SPAN("server", "fan_out_shards");
-  // Leaves fan their bundle(s) out to the client partition — JoinRound +
-  // ModelDown per task, byte-identical payloads to what a flat broadcast
-  // would have sent (only the coordinator id differs), so agents train
-  // bit-identically. Node-parallel on the shared ThreadPool: a leaf may
-  // serve several partitions after a failover, but partitions are disjoint
-  // and the transport mailboxes are thread-safe. Each leaf records what it
-  // fanned out (slot → reduce key) for its collect pass; a leaf dead this
-  // round fans out nothing.
-  leaf_served_.assign(static_cast<std::size_t>(topo_.shards), {});
+  // Leaves fan their bundle(s) out to the client partition, node-parallel
+  // on the shared ThreadPool: a leaf may serve several partitions after a
+  // failover, but partitions are disjoint and the transport mailboxes are
+  // thread-safe. A leaf dead this round fans out nothing.
   ThreadPool::global().parallel_for(
-      topo_.shards, 1, [&](std::int64_t lo, std::int64_t hi) {
+      tree_.leaves(), 1, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t s = lo; s < hi; ++s) {
           const std::int32_t leaf = tree_.leaf_id(static_cast<int>(s));
           if (net_->leaf_dead(round, static_cast<std::int32_t>(s))) {
@@ -845,34 +805,43 @@ void FederationServer::fan_out_shards(std::uint32_t round) {
             if (d.round != round) continue;
             if (!handled.insert(d.shard).second) continue;
             drop_missing_bodies(d, leaf);
-            // One parse per distinct body in the bundle, built lazily —
-            // rounds without delta downlinks never deserialize here.
-            std::vector<std::unique_ptr<ParsedBody>> parsed(d.bodies.size());
-            for (const DownlinkTask& t : d.tasks) {
-              // Both per-client frames leave when the bundle arrived — a
-              // retried ShardDown must not invite clients retroactively.
-              send_join(round, t.task, t.client, leaf, env.deliver_at_s);
-              const ParsedBody* pb = nullptr;
-              if (topo_.delta_downlink) {
-                auto& slot = parsed[t.body];
-                if (!slot)
-                  slot = std::make_unique<ParsedBody>(
-                      parse_body(d.bodies[t.body]));
-                pb = slot.get();
-              }
-              std::uint8_t flags = 0;
-              const std::string payload =
-                  model_down_for(round, t.task, t.client, d.bodies[t.body],
-                                 pb, t.rng_state, flags);
-              net_->send(leaf, t.client,
-                         encode_frame(MsgType::ModelDown, round, leaf,
-                                      t.client, payload, flags),
-                         env.deliver_at_s);
-              leaf_served_[static_cast<std::size_t>(s)][t.task] = t.reduce;
-            }
+            // Both per-client frames leave when the bundle arrived — a
+            // retried ShardDown must not invite clients retroactively.
+            fan_out(round, static_cast<int>(s), d, env.deliver_at_s);
           }
         }
       });
+}
+
+void FederationServer::fan_out(std::uint32_t round, int s,
+                               const ShardDownlink& d, double sent_at_s) {
+  // JoinRound + ModelDown per task, with the same payload bytes from every
+  // leaf (only the coordinator id differs), so agents train bit-identically
+  // at any depth. The leaf records what it fanned out (slot → reduce key)
+  // for its collect pass.
+  const std::int32_t leaf = tree_.leaf_id(s);
+  auto& served = leaf_served_[static_cast<std::size_t>(s)];
+  // One parse per distinct body in the bundle, built lazily — rounds
+  // without delta downlinks never deserialize here.
+  std::vector<std::unique_ptr<ParsedBody>> parsed(d.bodies.size());
+  for (const DownlinkTask& t : d.tasks) {
+    send_join(round, t.task, t.client, leaf, sent_at_s);
+    const ParsedBody* pb = nullptr;
+    if (topo_.delta_downlink) {
+      auto& slot = parsed[t.body];
+      if (!slot)
+        slot = std::make_unique<ParsedBody>(parse_body(d.bodies[t.body]));
+      pb = slot.get();
+    }
+    std::uint8_t flags = 0;
+    const std::string payload = model_down_for(
+        t.task, t.client, d.bodies[t.body], pb, t.rng_state, flags);
+    net_->send(leaf, t.client,
+               encode_frame(MsgType::ModelDown, round, leaf, t.client,
+                            payload, flags),
+               sent_at_s);
+    served[t.task] = t.reduce;
+  }
 }
 
 void FederationServer::poll_agents(std::uint32_t round,
@@ -912,55 +881,22 @@ void FederationServer::collect(std::uint32_t round,
   FT_SPAN("server", "collect");
   poll_agents(round, clients, out);
 
-  // Match the server's inbound mail to the task list. Duplicates are
-  // dropped on the floor here (first arrival wins); stale rounds, unknown
-  // slots and sender/slot mismatches are ignored.
-  std::vector<bool> seen(clients.size(), false);
-  for (Envelope& env : net_->drain(kServerId)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != round) continue;
-    if (msg.type != MsgType::UpdateUp) continue;
-    // Ack and Abort are bookkeeping-only: the agents' ground-truth
-    // outcomes already account for dropouts.
-    if (!admissible_slot(msg.task, msg.sender, clients)) continue;
-    const auto slot = static_cast<std::size_t>(msg.task);
-    if (seen[slot]) continue;
-    seen[slot] = true;
-    LocalTrainResult& res = out.results[slot];
-    res.delta = std::move(msg.weights);
-    res.avg_loss = msg.avg_loss;
-    res.num_samples = msg.num_samples;
-    res.macs_used = msg.macs_used;
-  }
-  // An agent that believes its update was delivered must be matched by an
-  // UpdateUp in the server's mailbox; anything else is a fabric bug.
-  for (std::size_t i = 0; i < clients.size(); ++i)
-    if (out.outcomes[i] == ClientOutcome::Trained)
-      FT_CHECK_MSG(seen[i], "delivered update missing from server mailbox");
-}
-
-void FederationServer::collect_sharded(std::uint32_t round,
-                                       const std::vector<int>& clients,
-                                       ExchangeResult& out) {
-  FT_SPAN("server", "collect_sharded");
-  poll_agents(round, clients, out);
-
   // Leaf pass: each alive leaf matches the partitions it served at fan-out
   // and forwards one PartialUp per partition upstream — node-parallel on
   // the shared ThreadPool (partitions are disjoint, so outcome flips never
-  // race). In a numeric round the leaf folds its updates into per-key
-  // partial sums in slot order and ships metrics-only entries; a bundle
-  // lost despite the retry policy takes its partition's trained updates
-  // down with it.
+  // race). Duplicates are dropped here (first arrival wins); stale rounds,
+  // unknown slots and sender/slot mismatches are ignored, and Ack/Abort
+  // frames are bookkeeping only (the agents' ground-truth outcomes already
+  // account for dropouts). In a numeric round the leaf folds its updates
+  // into per-key partial sums in slot order and ships metrics-only
+  // entries; a bundle lost despite the retry policy takes its partition's
+  // trained updates down with it. The root, when it is its own only leaf,
+  // hands its match straight to the root merge below (`root_in`, written
+  // by that single leaf only).
+  const int leaves = tree_.leaves();
+  std::vector<PartialUpdate> root_in;
   ThreadPool::global().parallel_for(
-      topo_.shards, 1, [&](std::int64_t lo, std::int64_t hi) {
+      leaves, 1, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t s = lo; s < hi; ++s) {
           const std::int32_t leaf = tree_.leaf_id(static_cast<int>(s));
           const auto& served = leaf_served_[static_cast<std::size_t>(s)];
@@ -994,7 +930,7 @@ void FederationServer::collect_sharded(std::uint32_t round,
             e.num_samples = msg.num_samples;
             e.macs_used = msg.macs_used;
             matched.emplace(i, std::move(e));
-            auto& at = up_at[i % topo_.shards];
+            auto& at = up_at[i % leaves];
             at = std::max(at, env.deliver_at_s);
           }
           if (matched.empty()) continue;
@@ -1004,7 +940,7 @@ void FederationServer::collect_sharded(std::uint32_t round,
           // per-key groups as they go and keep the metrics verbatim.
           std::map<std::int32_t, PartialUpdate> parts;
           for (auto& [slot, e] : matched) {
-            PartialUpdate& p = parts[slot % topo_.shards];
+            PartialUpdate& p = parts[slot % leaves];
             if (reduced_round_) {
               const std::int32_t key = served.at(slot);
               ReducedGroup* g = nullptr;
@@ -1029,25 +965,13 @@ void FederationServer::collect_sharded(std::uint32_t round,
           for (auto& [part, p] : parts) {
             p.shard = part;
             p.reduced = reduced_round_;
-            p.quant = reduced_round_
-                          ? static_cast<std::uint8_t>(topo_.quantize_partials)
-                          : kPartialQuantF32;
-            const std::int32_t parent =
-                tree_.parent_id(topo_.levels - 1, static_cast<int>(s));
-            const bool delivered = send_with_retry(
-                *net_, leaf, parent, up_at[part], topo_, /*downlink=*/false,
-                [&](std::uint8_t flags) {
-                  return encode_partial_up(round, leaf, parent, p, flags);
-                });
-            if (!delivered) {
-              // The partition's partial aggregate never reached its
-              // parent: the trained updates are lost on the (backbone)
-              // uplink.
-              for (const UpdateEntry& e : p.entries) {
-                auto& o = out.outcomes[static_cast<std::size_t>(e.task)];
-                if (o == ClientOutcome::Trained) o = ClientOutcome::LostUp;
-              }
-            }
+            if (leaf == kServerId)
+              root_in.push_back(std::move(p));
+            else
+              send_partial(round, leaf,
+                           tree_.parent_id(topo_.levels - 1,
+                                           static_cast<int>(s)),
+                           p, up_at[part], out);
           }
         }
       });
@@ -1063,67 +987,22 @@ void FederationServer::collect_sharded(std::uint32_t round,
             const int j = static_cast<int>(jj);
             const std::int32_t node = tree_.node_id(t, j);
             std::vector<PartialUpdate> bundles;
-            std::set<std::pair<std::int32_t, std::int32_t>> seen_b;
-            double last_s = 0.0;
-            for (Envelope& env : net_->drain(node)) {
-              PartialUpdate p;
-              try {
-                if (frame_type(env.frame) != MsgType::PartialUp) continue;
-                p = decode_partial_up(env.frame);
-              } catch (const Error&) {
-                net_->stats_mutable().frames_rejected.fetch_add(
-                    1, std::memory_order_relaxed);
-                continue;
-              }
-              if (p.round != round) continue;
-              if (!seen_b.insert({p.sender, p.shard}).second) continue;
-              last_s = std::max(last_s, env.deliver_at_s);
-              bundles.push_back(std::move(p));
-            }
+            const double last_s = drain_bundles(round, node, bundles);
             if (bundles.empty()) continue;
             PartialUpdate m = merge_bundles(std::move(bundles),
                                             reduced_round_);
             m.shard = j;
-            m.quant = reduced_round_
-                          ? static_cast<std::uint8_t>(topo_.quantize_partials)
-                          : kPartialQuantF32;
-            const std::int32_t parent = tree_.parent_id(t, j);
-            const bool delivered = send_with_retry(
-                *net_, node, parent, last_s, topo_, /*downlink=*/false,
-                [&](std::uint8_t flags) {
-                  return encode_partial_up(round, node, parent, m, flags);
-                });
-            if (!delivered) {
-              for (const UpdateEntry& e : m.entries) {
-                auto& o = out.outcomes[static_cast<std::size_t>(e.task)];
-                if (o == ClientOutcome::Trained) o = ClientOutcome::LostUp;
-              }
-            }
+            send_partial(round, node, tree_.parent_id(t, j), m, last_s, out);
           }
         });
   }
 
-  // Root: merge the surviving bundles back into the flat task list — the
-  // same slot/sender validation and first-arrival dedup as a flat collect,
-  // just over bundled entries (and, in a numeric round, the merged reduce
-  // groups the engine's absorb_reduced path consumes).
-  std::vector<PartialUpdate> bundles;
-  std::set<std::pair<std::int32_t, std::int32_t>> seen_b;
-  for (Envelope& env : net_->drain(kServerId)) {
-    PartialUpdate p;
-    try {
-      if (frame_type(env.frame) != MsgType::PartialUp)
-        continue;  // Ack/Abort: bookkeeping only
-      p = decode_partial_up(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (p.round != round) continue;
-    if (!seen_b.insert({p.sender, p.shard}).second) continue;
-    bundles.push_back(std::move(p));
-  }
+  // Root: merge the surviving bundles back into the task list — the same
+  // slot/sender validation and first-arrival dedup as the leaf match, just
+  // over bundled entries (and, in a numeric round, the merged reduce groups
+  // the engine's absorb_reduced path consumes).
+  std::vector<PartialUpdate> bundles = std::move(root_in);
+  drain_bundles(round, kServerId, bundles);
   PartialUpdate merged = merge_bundles(std::move(bundles), reduced_round_);
 
   std::vector<bool> seen(clients.size(), false);
@@ -1144,17 +1023,61 @@ void FederationServer::collect_sharded(std::uint32_t round,
       FT_CHECK_MSG(seen[i], "delivered update missing from root mailbox");
 }
 
+double FederationServer::drain_bundles(std::uint32_t round,
+                                       std::int32_t node,
+                                       std::vector<PartialUpdate>& bundles) {
+  std::set<std::pair<std::int32_t, std::int32_t>> seen_b;
+  double last_s = 0.0;
+  for (Envelope& env : net_->drain(node)) {
+    PartialUpdate p;
+    try {
+      if (frame_type(env.frame) != MsgType::PartialUp)
+        continue;  // Ack/Abort: bookkeeping only
+      p = decode_partial_up(env.frame);
+    } catch (const Error&) {
+      net_->stats_mutable().frames_rejected.fetch_add(
+          1, std::memory_order_relaxed);
+      continue;
+    }
+    if (p.round != round) continue;
+    if (!seen_b.insert({p.sender, p.shard}).second) continue;
+    last_s = std::max(last_s, env.deliver_at_s);
+    bundles.push_back(std::move(p));
+  }
+  return last_s;
+}
+
+void FederationServer::send_partial(std::uint32_t round, std::int32_t node,
+                                    std::int32_t parent, PartialUpdate& p,
+                                    double sent_at_s, ExchangeResult& out) {
+  p.quant = reduced_round_
+                ? static_cast<std::uint8_t>(topo_.quantize_partials)
+                : kPartialQuantF32;
+  const bool delivered = send_with_retry(
+      *net_, node, parent, sent_at_s, topo_, /*downlink=*/false,
+      [&](std::uint8_t flags) {
+        return encode_partial_up(round, node, parent, p, flags);
+      });
+  if (delivered) return;
+  // The partial aggregate never reached the parent: its trained updates
+  // are lost on the (backbone) uplink.
+  for (const UpdateEntry& e : p.entries) {
+    auto& o = out.outcomes[static_cast<std::size_t>(e.task)];
+    if (o == ClientOutcome::Trained) o = ClientOutcome::LostUp;
+  }
+}
+
 ExchangeResult FederationServer::exchange(
-    std::uint32_t round, const std::vector<int>& clients, std::size_t n_rngs,
-    const std::function<void()>& broadcast_fn) {
-  FT_SPAN_ARG("server", "exchange", "tasks", clients.size());
-  FT_CHECK_MSG(clients.size() == n_rngs,
+    std::uint32_t round, const std::vector<int>& clients,
+    const std::vector<Rng>& client_rngs,
+    const std::vector<std::int32_t>& reduce_keys,
+    const std::vector<const std::string*>& slot_body) {
+  FT_CHECK_MSG(clients.size() == client_rngs.size(),
                "one forked Rng per task slot required");
-  FT_CHECK_MSG(round_reduce_.empty() ||
-                   round_reduce_.size() == clients.size(),
+  FT_CHECK_MSG(reduce_keys.empty() || reduce_keys.size() == clients.size(),
                "one reduce key per task slot required");
-  reduced_round_ = topo_.partial_aggregation && sharded() &&
-                   !round_reduce_.empty();
+  round_reduce_ = reduce_keys;
+  reduced_round_ = topo_.partial_aggregation && !round_reduce_.empty();
   ExchangeResult out;
   out.results.resize(clients.size());
   out.outcomes.assign(clients.size(), ClientOutcome::LostDown);
@@ -1166,12 +1089,9 @@ ExchangeResult FederationServer::exchange(
   const std::uint64_t delta_saved0 = net_->stats().delta_saved_bytes.load();
 
   phase_ = Phase::Broadcast;
-  broadcast_fn();
+  broadcast(round, clients, client_rngs, slot_body);
   phase_ = Phase::Collect;
-  if (sharded())
-    collect_sharded(round, clients, out);
-  else
-    collect(round, clients, out);
+  collect(round, clients, out);
   phase_ = Phase::Aggregate;  // aggregation happens in the caller
 
   out.retry_down_bytes = static_cast<double>(
@@ -1192,22 +1112,33 @@ ExchangeResult FederationServer::run_round(
     std::uint32_t round, const WeightSet& global,
     const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
     const std::vector<std::int32_t>& reduce_keys) {
-  round_reduce_ = reduce_keys;
-  return exchange(round, clients, client_rngs.size(), [&] {
-    broadcast_shared(round, global, clients, client_rngs);
-  });
+  FT_SPAN_ARG("server", "exchange", "tasks", clients.size());
+  // Serialize the weight set once; per task only the (tiny) slot id and
+  // Rng-state sections of the ModelDown payload differ.
+  const std::string body = shared_body(global);
+  return exchange(round, clients, client_rngs, reduce_keys,
+                  std::vector<const std::string*>(clients.size(), &body));
 }
 
 ExchangeResult FederationServer::run_round(
     std::uint32_t round, const std::vector<Model*>& payloads,
     const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
     const std::vector<std::int32_t>& reduce_keys) {
+  FT_SPAN_ARG("server", "exchange", "tasks", clients.size());
   FT_CHECK_MSG(payloads.size() == clients.size(),
                "one payload model per task slot required");
-  round_reduce_ = reduce_keys;
-  return exchange(round, clients, client_rngs.size(), [&] {
-    broadcast_tasks(round, payloads, clients, client_rngs);
-  });
+  // Architecture + weights ride the frame: the agent rebuilds the exact
+  // submodel this task trains, no shared prototype required. The engine
+  // hands tasks in the same payload_key group one Model instance, so the
+  // (large) spec + weights section is encoded once per distinct instance.
+  std::unordered_map<const Model*, std::string> encoded;
+  std::vector<const std::string*> slot_body(clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    std::string& body = encoded[payloads[i]];
+    if (body.empty()) body = task_body(*payloads[i]);
+    slot_body[i] = &body;
+  }
+  return exchange(round, clients, client_rngs, reduce_keys, slot_body);
 }
 
 AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
@@ -1221,25 +1152,22 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   AsyncTurnaround t;
   const std::uint64_t retry0 = net_->stats().retry_bytes_up.load();
 
-  // Route: a flat session talks straight to the client; a tree session
-  // hops through the aggregator chain above the client's leaf partition
-  // (leaf = client % shards, failover applied per job) on the
-  // zero-latency backbone — so the server-side delivery order the engine
-  // folds completions in is preserved relative to a flat fabric.
-  std::vector<std::int32_t> chain;  // root-to-leaf aggregator endpoints
-  if (sharded()) {
-    const int part = client % topo_.shards;
-    const int owner = owner_leaf(job, part);
-    if (owner < 0) return t;  // whole fault domain down: LostDown
-    if (owner != part) {
-      t.failed_over = true;
-      net_->stats_mutable().leaf_failovers.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    for (int tier = 1; tier < topo_.levels - 1; ++tier)
-      chain.push_back(tree_.node_id(tier, tree_.node_covering(tier, owner)));
-    chain.push_back(tree_.leaf_id(owner));
+  // Route: hop through the tree's nodes from tier 1 down to the client's
+  // leaf partition (leaf = client % leaves, failover applied per job) on
+  // the zero-latency backbone — so the server-side delivery order the
+  // engine folds completions in does not depend on the depth. On a flat
+  // fabric the root is the leaf and the chain is empty.
+  const int part = client % tree_.leaves();
+  const int owner = owner_leaf(job, part);
+  if (owner < 0) return t;  // whole fault domain down: LostDown
+  if (owner != part) {
+    t.failed_over = true;
+    net_->stats_mutable().leaf_failovers.fetch_add(1,
+                                                   std::memory_order_relaxed);
   }
+  std::vector<std::int32_t> chain;  // tier-1-to-leaf aggregator endpoints
+  for (int tier = 1; tier < tree_.levels(); ++tier)
+    chain.push_back(tree_.node_id(tier, tree_.node_covering(tier, owner)));
 
   // Downlink: one ModelDown (task slot 0, round field = job id) carrying
   // the dispatch-time weight snapshot and the forked Rng — hop by hop down
@@ -1249,71 +1177,31 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   // replaces timed-out clients instead.
   const std::string payload =
       model_down_payload(0, shared_body(global), rng.state());
-  std::int32_t down_src = kServerId;
-  double down_sent_s = now_s;
-  for (std::int32_t hop : chain) {
-    if (!net_->send(down_src, hop,
-                    encode_frame(MsgType::ModelDown, job, down_src, hop,
-                                 payload),
-                    down_sent_s))
-      return t;
-    bool hop_got = false;
-    for (Envelope& env : net_->drain(hop)) {
-      FabricMessage msg;
-      try {
-        msg = decode_message(env.frame);
-      } catch (const Error&) {
-        net_->stats_mutable().frames_rejected.fetch_add(
-            1, std::memory_order_relaxed);
-        continue;
-      }
-      if (msg.round != job || msg.type != MsgType::ModelDown || hop_got)
-        continue;  // duplicates: first arrival wins
-      hop_got = true;
-      down_sent_s = env.deliver_at_s;
-    }
-    FT_CHECK_MSG(hop_got,
-                 "delivered ModelDown missing from aggregator mailbox");
-    down_src = hop;
+  Arrival down;
+  down.at_s = now_s;
+  std::int32_t src = kServerId;
+  for (std::size_t k = 0; k <= chain.size(); ++k) {
+    const std::int32_t dst = k < chain.size() ? chain[k] : client;
+    if (!net_->send(src, dst,
+                    encode_frame(MsgType::ModelDown, job, src, dst, payload),
+                    down.at_s))
+      return t;  // LostDown: the device never saw the job
+    down = first_arrival(*net_, dst, job, MsgType::ModelDown);
+    src = dst;
   }
-  const bool down_ok = net_->send(
-      down_src, client,
-      encode_frame(MsgType::ModelDown, job, down_src, client, payload),
-      down_sent_s);
-  if (!down_ok) return t;  // LostDown: the device never saw the job
 
-  // Client side: drain, decode, train on receipt.
-  double down_at = 0.0;
-  FabricMessage down;
-  bool got_down = false;
-  for (Envelope& env : net_->drain(client)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != job || msg.type != MsgType::ModelDown || got_down)
-      continue;  // duplicates: first arrival wins
-    got_down = true;
-    down_at = env.deliver_at_s;
-    down = std::move(msg);
-  }
-  FT_CHECK_MSG(got_down, "delivered ModelDown missing from client mailbox");
-
+  // Client side: train on receipt.
   Model local = prototype_;
-  local.set_weights(down.weights);
+  local.set_weights(down.msg.weights);
   Rng crng;
-  crng.set_state(down.rng_state);
+  crng.set_state(down.msg.rng_state);
   t.res = byzantine_local_train(local, data_->client(client),
                                 data_->num_classes(), local_, crng,
                                 net_->faults(), job, client);
   const double compute_s =
       t.res.macs_used / net_->device(client).compute_macs_per_s;
-  const double done_s = down_at + compute_s;
-  FT_VSPAN_ARG("client", "train", down_at, compute_s, kTrackClients + client,
+  const double done_s = down.at_s + compute_s;
+  FT_VSPAN_ARG("client", "train", down.at_s, compute_s, kTrackClients + client,
                "job", job);
   t.busy_s = done_s - now_s;
 
@@ -1322,90 +1210,43 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
     return t;  // trained, then vanished — no upload, no retries
   }
 
-  // Uplink under the retry policy: client → its coordinator (the leaf in
-  // tree sessions), then hop by hop back to the root, each backbone leg
-  // under the same retry policy.
-  FabricMessage up;
-  up.type = MsgType::UpdateUp;
-  up.round = job;
-  up.sender = client;
-  up.receiver = chain.empty() ? kServerId : chain.back();
-  up.task = 0;
-  up.weights = std::move(t.res.delta);
-  up.avg_loss = t.res.avg_loss;
-  up.num_samples = t.res.num_samples;
-  up.macs_used = t.res.macs_used;
-  const bool delivered = send_with_retry(
-      *net_, client, up.receiver, done_s, topo_, /*downlink=*/false,
-      [&up](std::uint8_t flags) {
-        up.flags = flags;
-        return encode_message(up);
-      });
-  if (!delivered) {
-    t.retry_up_bytes = static_cast<double>(
-        net_->stats().retry_bytes_up.load() - retry0);
-    t.outcome = ClientOutcome::LostUp;
-    return t;
-  }
-  for (std::size_t k = chain.size(); k-- > 0;) {
-    const std::int32_t node = chain[k];
-    FabricMessage fwd;
-    bool hop_got = false;
-    double up_at = 0.0;
-    for (Envelope& env : net_->drain(node)) {
-      FabricMessage msg;
-      try {
-        msg = decode_message(env.frame);
-      } catch (const Error&) {
-        net_->stats_mutable().frames_rejected.fetch_add(
-            1, std::memory_order_relaxed);
-        continue;
-      }
-      if (msg.round != job || msg.type != MsgType::UpdateUp || hop_got)
-        continue;
-      hop_got = true;
-      up_at = env.deliver_at_s;
-      fwd = std::move(msg);
-    }
-    FT_CHECK_MSG(hop_got,
-                 "delivered update missing from aggregator mailbox");
-    const std::int32_t parent = k == 0 ? kServerId : chain[k - 1];
-    fwd.sender = node;
-    fwd.receiver = parent;
-    const bool fwd_ok = send_with_retry(
-        *net_, node, parent, up_at, topo_, /*downlink=*/false,
-        [&fwd](std::uint8_t flags) {
-          fwd.flags = flags;
-          return encode_message(fwd);
+  // Uplink under the retry policy: client → its leaf, then hop by hop back
+  // up the chain to the root, each leg under the same retry policy; every
+  // hop forwards the UpdateUp it decoded, re-addressed.
+  Arrival up;
+  up.msg.type = MsgType::UpdateUp;
+  up.msg.round = job;
+  up.msg.task = 0;
+  up.msg.weights = std::move(t.res.delta);
+  up.msg.avg_loss = t.res.avg_loss;
+  up.msg.num_samples = t.res.num_samples;
+  up.msg.macs_used = t.res.macs_used;
+  up.at_s = done_s;
+  src = client;
+  for (std::size_t k = chain.size() + 1; k-- > 0;) {
+    const std::int32_t dst = k == 0 ? kServerId : chain[k - 1];
+    FabricMessage& msg = up.msg;
+    msg.sender = src;
+    msg.receiver = dst;
+    const bool delivered = send_with_retry(
+        *net_, src, dst, up.at_s, topo_, /*downlink=*/false,
+        [&msg](std::uint8_t flags) {
+          msg.flags = flags;
+          return encode_message(msg);
         });
-    if (!fwd_ok) {
+    if (!delivered) {
       t.retry_up_bytes = static_cast<double>(
           net_->stats().retry_bytes_up.load() - retry0);
       t.outcome = ClientOutcome::LostUp;
       return t;
     }
+    up = first_arrival(*net_, dst, job, MsgType::UpdateUp);
+    src = dst;
   }
   t.retry_up_bytes = static_cast<double>(
       net_->stats().retry_bytes_up.load() - retry0);
-
-  // Server side: collect this job's UpdateUp and its delivery instant.
-  bool got_up = false;
-  for (Envelope& env : net_->drain(kServerId)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != job || msg.type != MsgType::UpdateUp || got_up)
-      continue;
-    got_up = true;
-    t.update_at_s = env.deliver_at_s;
-    t.res.delta = std::move(msg.weights);
-  }
-  FT_CHECK_MSG(got_up, "delivered update missing from server mailbox");
+  t.update_at_s = up.at_s;
+  t.res.delta = std::move(up.msg.weights);
   t.outcome = ClientOutcome::Trained;
   t.busy_s = std::max(t.busy_s, t.update_at_s - now_s);
   return t;

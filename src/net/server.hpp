@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,28 +50,37 @@ struct ExchangeResult {
   double delta_saved_bytes = 0.0;
 };
 
+/// Checks a FabricTopology once, where a session is built: levels in
+/// [1, 6], shards >= 1, branching >= 0, partial aggregation only on a tree
+/// (levels >= 2), quantized partials only with partial aggregation, and a
+/// retry policy with max_retries >= 0 and a positive ack timeout. Throws
+/// `Error` naming the offending field.
+void validate_topology(const FabricTopology& topo);
+
 /// Deterministic shape of the aggregation tree implied by a FabricTopology:
 /// tier 0 is the root (`kServerId`), tiers 1..levels-1 are aggregator
-/// tiers, and the bottom tier holds the `shards` leaves. Interior tiers
-/// shrink by the branching factor going up (node (t, j)'s children are
-/// tier-(t+1) nodes [j·b, (j+1)·b) clamped). Every participant of the
-/// simulated fabric derives the same tree from the same topology, so
-/// routing needs no wire-level discovery — bundles only carry the leaf
-/// range they cover.
+/// tiers, and the bottom tier holds the leaves. Interior tiers shrink by
+/// the branching factor going up (node (t, j)'s children are tier-(t+1)
+/// nodes [j·b, (j+1)·b) clamped). A flat topology (levels = 1) is the root
+/// alone: no aggregators, and the root is its own single leaf. Every
+/// participant of the simulated fabric derives the same tree from the same
+/// topology, so routing needs no wire-level discovery — bundles only carry
+/// the leaf range they cover.
 class FabricTree {
  public:
-  FabricTree() = default;  ///< flat fabric: no aggregators
   explicit FabricTree(const FabricTopology& topo);
 
   int levels() const { return levels_; }
-  int leaves() const { return levels_ >= 2 ? width_.back() : 0; }
+  int leaves() const { return width_.back(); }
   int branching() const { return branching_; }
   int num_aggregators() const { return total_; }
+  /// Nodes on tier `tier` (tier 0, the root, has one).
   int tier_width(int tier) const {
-    return width_[static_cast<std::size_t>(tier - 1)];
+    return width_[static_cast<std::size_t>(tier)];
   }
-  /// Endpoint id of node j of tier t (t in [1, levels); leaves are the
-  /// bottom tier). Leaves keep the historical ids aggregator_id(0..L-1).
+  /// Endpoint id of node j of tier t: the root for t == 0, else an
+  /// aggregator (leaves are the bottom tier and keep the historical ids
+  /// aggregator_id(0..L-1)).
   std::int32_t node_id(int tier, int j) const;
   std::int32_t leaf_id(int leaf) const { return node_id(levels_ - 1, leaf); }
   /// Endpoint of node (t, j)'s parent — the root for t == 1.
@@ -89,8 +97,8 @@ class FabricTree {
  private:
   int levels_ = 1;
   int branching_ = 1;
-  std::vector<int> width_;   ///< width_[t-1] = nodes on tier t
-  std::vector<int> offset_;  ///< offset_[t-1] = first aggregator index of t
+  std::vector<int> width_;   ///< width_[t] = nodes on tier t (width_[0] = 1)
+  std::vector<int> offset_;  ///< offset_[t] = first aggregator index of t
   int total_ = 0;
 };
 
@@ -171,36 +179,40 @@ class ClientAgent {
 };
 
 /// Multithreaded federation coordinator: executes the per-round protocol
+/// over an aggregation tree of any depth (FabricTopology::levels 1–6)
 ///
-///   Broadcast — JoinRound + ModelDown frame per task slot
+///   Broadcast — the root packs the round's tasks into ShardDown bundles
+///               (body table + task list), interior tiers split them among
+///               their children, and each leaf fans its bundle out as one
+///               JoinRound + ModelDown frame per task slot (slot i belongs
+///               to leaf i % leaves)
 ///   Collect   — ClientAgent workers run concurrently on the shared
-///               ThreadPool; the server drains its mailbox, deduplicates,
-///               and matches UpdateUp/Abort frames to the task list
+///               ThreadPool; each leaf drains its mailbox, deduplicates,
+///               matches UpdateUp frames to the slots it served and
+///               forwards one PartialUp bundle upstream, merged tier by tier
+///               (node-parallel) back into the root's task list
 ///   (Aggregation stays with the caller — the FederationEngine folds the
 ///    collected deltas with exactly the same fixed-order reduction as its
 ///    in-process path, which is what makes fault-free fabric runs bitwise
 ///    identical.)
 ///
-/// With a tree topology (FabricTopology::levels >= 2) the same round runs
-/// over an aggregation tree of arbitrary depth: the root ships one bundled
-/// ShardDown frame per child, interior tiers split bundles among their
-/// children, and each leaf aggregator fans its bundle out to its client
-/// partition (task slot i belongs to leaf i % shards), collects the
-/// partition's UpdateUps — node-parallel on the shared ThreadPool — and
-/// forwards one bundled PartialUp upstream, merged tier by tier back to
-/// the root. By default bundles carry the per-task updates verbatim, so
-/// the root reassembles exactly the task list a flat round would have
-/// collected and fault-free tree rounds of any depth stay bitwise
-/// identical to flat ones. With FabricTopology::partial_aggregation the
+/// A flat topology (levels = 1) is the same round on a tree whose root is
+/// its only leaf: the root builds that leaf's bundle in memory and fans it
+/// out itself, and matches its own mailbox with the leaf code, feeding the
+/// matched updates straight into the root merge — no ShardDown or PartialUp
+/// frame exists on a flat fabric. By default bundles carry the per-task
+/// updates verbatim, so fault-free rounds of every depth are bitwise
+/// identical. With FabricTopology::partial_aggregation (trees only) the
 /// aggregators instead reduce their updates numerically (per reduce group:
 /// Σ num_samples·Δ + the weight total, folded in ascending min-slot order
 /// at every merge point) and only per-task metrics ride verbatim.
 ///
-/// Leaves are per-shard fault domains: a leaf dead for the round
+/// Leaf aggregators are per-shard fault domains: a leaf dead for the round
 /// (FaultConfig::leaf_death_prob) has its partition's bundle redirected to
 /// an alive sibling one ack-timeout later — billed as failover traffic and
 /// counted in FabricStats::leaf_failovers. With no alive sibling the
-/// partition is lost for the round (LostDown).
+/// partition is lost for the round (LostDown). The root is never a fault
+/// domain, so leaf deaths do not touch a flat fabric.
 ///
 /// Straggler policy (overcommit/deadline) is applied by the strategy before
 /// broadcast from predicted completion times, FedScale-style, so the task
@@ -239,10 +251,11 @@ class FederationServer {
   /// loop: send `global` to `client` as a ModelDown at simulated instant
   /// `now_s` (round field = `job`), let the agent train on receipt and
   /// upload UpdateUp under the retry policy, and collect it from the
-  /// server mailbox. With a tree topology the frames hop through the
-  /// client's leaf partition (leaf = client % shards, failover applied) on
-  /// the zero-latency backbone, so the server-side delivery order the
-  /// engine folds completions in is preserved relative to a flat fabric.
+  /// server mailbox. The frames hop through the tree's nodes above the
+  /// client's leaf partition (leaf = client % leaves, failover applied) on
+  /// the zero-latency backbone — none on a flat fabric — so the server-side
+  /// delivery order the engine folds completions in does not depend on the
+  /// tree's depth.
   /// Pure message passing — no aggregation state here.
   AsyncTurnaround async_exchange(std::uint32_t job, int client,
                                  const WeightSet& global, const Rng& rng,
@@ -254,25 +267,23 @@ class FederationServer {
   int num_clients() const { return net_->num_clients(); }
   const FabricTopology& topology() const { return topo_; }
   const FabricTree& tree() const { return tree_; }
-  bool sharded() const { return topo_.levels >= 2; }
 
  private:
   void send_join(std::uint32_t round, std::int32_t task, int client,
                  std::int32_t coordinator, double sent_at_s = 0.0);
-  void broadcast_shared(std::uint32_t round, const WeightSet& global,
-                        const std::vector<int>& clients,
-                        const std::vector<Rng>& client_rngs);
-  void broadcast_tasks(std::uint32_t round,
-                       const std::vector<Model*>& payloads,
-                       const std::vector<int>& clients,
-                       const std::vector<Rng>& client_rngs);
-  /// Tree broadcast: per root child, one ShardDown bundle referencing
-  /// `slot_body[i]` (the [spec][weights] section task i downloads);
-  /// interior tiers split bundles downward; leaves fan out to per-client
-  /// JoinRound + ModelDown frames.
-  void broadcast_sharded(std::uint32_t round, const std::vector<int>& clients,
-                         const std::vector<Rng>& client_rngs,
-                         const std::vector<const std::string*>& slot_body);
+  /// One exchange: task slot i downloads the [spec][weights] body
+  /// `*slot_body[i]`; broadcast, collect, and the round's traffic deltas.
+  ExchangeResult exchange(std::uint32_t round,
+                          const std::vector<int>& clients,
+                          const std::vector<Rng>& client_rngs,
+                          const std::vector<std::int32_t>& reduce_keys,
+                          const std::vector<const std::string*>& slot_body);
+  /// Per root child, one ShardDown bundle referencing `slot_body[i]`;
+  /// interior tiers split bundles downward; leaves fan out. On a flat
+  /// fabric the root fans its own bundle out directly.
+  void broadcast(std::uint32_t round, const std::vector<int>& clients,
+                 const std::vector<Rng>& client_rngs,
+                 const std::vector<const std::string*>& slot_body);
   /// Send one pre-filtered bundle down to node (tier, j): leaf bundles
   /// apply the failover policy, interior bundles go straight down with the
   /// retry policy.
@@ -281,21 +292,31 @@ class FederationServer {
   /// Interior downlink pass for tiers 1..levels-2: split each received
   /// bundle among the node's children (node-parallel per tier).
   void route_tiers_down(std::uint32_t round);
+  /// Aggregator leaves decode their ShardDown bundles and fan them out
+  /// (node-parallel).
   void fan_out_shards(std::uint32_t round);
+  /// Leaf `s` sends JoinRound + ModelDown per task of bundle `d` at
+  /// `sent_at_s` and records the slots it served for its collect pass.
+  void fan_out(std::uint32_t round, int s, const ShardDownlink& d,
+               double sent_at_s);
   /// Concurrent ClientAgent polling (one worker per distinct client).
   void poll_agents(std::uint32_t round, const std::vector<int>& clients,
                    ExchangeResult& out);
+  /// Leaves match their partition(s) and forward PartialUp bundles (the
+  /// root, when it is its own leaf, keeps its match); interior tiers merge
+  /// child bundles upward (node-parallel); the root merges into the task
+  /// list (or, reduced, the group list).
   void collect(std::uint32_t round, const std::vector<int>& clients,
                ExchangeResult& out);
-  /// Tree collect: leaves match their partition(s) and forward PartialUp
-  /// bundles; interior tiers merge child bundles upward (node-parallel);
-  /// the root merges into the task list (or, reduced, the group list).
-  void collect_sharded(std::uint32_t round, const std::vector<int>& clients,
-                       ExchangeResult& out);
-  ExchangeResult exchange(std::uint32_t round,
-                          const std::vector<int>& clients,
-                          std::size_t n_rngs,
-                          const std::function<void()>& broadcast_fn);
+  /// Append `node`'s PartialUp bundles of `round` to `bundles` (first
+  /// arrival per (sender, partition)); returns the last delivery time.
+  double drain_bundles(std::uint32_t round, std::int32_t node,
+                       std::vector<PartialUpdate>& bundles);
+  /// Forward `p` from `node` to `parent` under the retry policy; a bundle
+  /// lost despite retries flips its trained tasks to LostUp.
+  void send_partial(std::uint32_t round, std::int32_t node,
+                    std::int32_t parent, PartialUpdate& p, double sent_at_s,
+                    ExchangeResult& out);
   /// The leaf serving partition `s` in `round` under the failover policy
   /// (itself when alive, else the next alive sibling, wrapping; -1 when
   /// the whole sibling group is dead).
@@ -329,8 +350,8 @@ class FederationServer {
   /// the client's DeltaStore entry when the topology opts in, the store
   /// matches and the diff is smaller — else the full `body`-backed payload.
   /// Savings are billed into FabricStats at the decision point.
-  std::string model_down_for(std::uint32_t round, std::int32_t slot,
-                             int client, const std::string& body,
+  std::string model_down_for(std::int32_t slot, int client,
+                             const std::string& body,
                              const ParsedBody* parsed,
                              const std::array<std::uint64_t, 4>& rng_state,
                              std::uint8_t& flags);
@@ -338,7 +359,7 @@ class FederationServer {
   Model prototype_;
   const ClientDataProvider* data_;
   LocalTrainConfig local_;
-  FabricTopology topo_;
+  FabricTopology topo_;  ///< validated before tree_ is built from it
   FabricTree tree_;
   std::unique_ptr<Transport> net_;
   /// Per-round, per-leaf fan-out memory: slot → reduce key of the tasks

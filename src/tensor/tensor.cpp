@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/serial.hpp"
 #include "common/vectorize.hpp"
 
 namespace fedtrans {
@@ -187,7 +188,20 @@ Tensor Tensor::load(std::istream& is) {
   for (auto& d : shape) {
     std::int32_t v = 0;
     is.read(reinterpret_cast<char*>(&v), sizeof(v));
+    FT_CHECK_MSG(is.good() && v >= 0, "corrupt tensor dimension");
     d = v;
+  }
+  // The element data must fit in what the stream still holds — checked
+  // before allocating, so a corrupt header cannot ask for gigabytes.
+  const std::uint64_t limit = stream_remaining(is) /
+                              static_cast<std::uint64_t>(
+                                  dtype_bytes(static_cast<Dtype>(dt)));
+  std::uint64_t count = 1;
+  for (const int d : shape) {
+    const auto ud = static_cast<std::uint64_t>(d);
+    FT_CHECK_MSG(ud == 0 || count <= limit / ud,
+                 "tensor shape exceeds remaining stream");
+    count *= ud;
   }
   Tensor t(shape);
   t.dtype_ = static_cast<Dtype>(dt);

@@ -342,7 +342,8 @@ TEST(ShardedParityTest, FedAvgShardedMatchesFlatBitwise) {
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
-      EXPECT_TRUE(b.fabric()->sharded());
+      EXPECT_EQ(b.fabric()->tree().levels(), 2);
+      EXPECT_EQ(b.fabric()->tree().num_aggregators(), 3);
       EXPECT_EQ(b.fabric()->stats().frames_dropped.load(), 0u);
       EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u)
           << "undecodable frames on a clean transport mean a codec bug";
@@ -771,6 +772,62 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   for (const auto& rec : no_retry.history()) lost0 += rec.lost_updates;
   EXPECT_LT(lost, lost0)
       << "retries must recover updates the no-retry run times out on";
+}
+
+// ---------------------------------------------------------------------------
+// Tree shape and topology validation: a flat topology is the root alone,
+// its own single leaf; an invalid topology fails when the session is built,
+// not at its first round.
+
+TEST(FabricTreeTest, OneLevelTreeIsTheRootAlone) {
+  FabricTopology flat;
+  flat.shards = 4;  // ignored without aggregator tiers
+  const FabricTree tree(flat);
+  EXPECT_EQ(tree.levels(), 1);
+  EXPECT_EQ(tree.leaves(), 1);
+  EXPECT_EQ(tree.num_aggregators(), 0);
+  EXPECT_EQ(tree.leaf_id(0), kServerId);
+  EXPECT_EQ(tree.tier_width(0), 1);
+  EXPECT_EQ(tree.leaf_range(0, 0), std::make_pair(0, 1));
+  EXPECT_EQ(tree.sibling_range(0), std::make_pair(0, 1));
+
+  FabricTopology two;
+  two.levels = 2;
+  two.shards = 3;
+  const FabricTree t2(two);
+  EXPECT_EQ(t2.leaves(), 3);
+  EXPECT_EQ(t2.num_aggregators(), 3);
+  EXPECT_EQ(t2.tier_width(0), 1);
+  EXPECT_EQ(t2.leaf_id(0), aggregator_id(0));
+  EXPECT_EQ(t2.parent_id(1, 2), kServerId);
+}
+
+TEST(TopologyValidationTest, FlatPartialAggregationFailsAtConstruction) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(3);
+  Model init(tiny_model(), rng);
+
+  FlRunConfig cfg = base_cfg(3);
+  cfg.use_fabric = true;
+  cfg.topology.levels = 1;
+  cfg.topology.partial_aggregation = true;
+  EXPECT_THROW(FedAvgRunner(init, data, fleet, cfg), Error);
+
+  FlRunConfig bad_levels = base_cfg(3);
+  bad_levels.use_fabric = true;
+  bad_levels.topology.levels = 7;
+  EXPECT_THROW(FedAvgRunner(init, data, fleet, bad_levels), Error);
+
+  FlRunConfig bad_retries = base_cfg(3);
+  bad_retries.use_fabric = true;
+  bad_retries.topology.ack_timeout_s = 0.0;
+  EXPECT_THROW(FedAvgRunner(init, data, fleet, bad_retries), Error);
+
+  // The topology is only consulted by fabric sessions.
+  FlRunConfig in_process = cfg;
+  in_process.use_fabric = false;
+  EXPECT_NO_THROW(FedAvgRunner(init, data, fleet, in_process));
 }
 
 // ---------------------------------------------------------------------------

@@ -88,6 +88,38 @@ TEST(Tensor, LoadRejectsGarbage) {
   EXPECT_THROW(Tensor::load(ss), Error);
 }
 
+// A header whose dims claim more elements than the stream holds is
+// rejected before the tensor is allocated: the 12-byte header below claims
+// {2^20, 2^14} fp32 elements (64 GiB), which would otherwise be allocated
+// and zero-filled before the payload read failed.
+TEST(Tensor, LoadRejectsOversizedHeaderBeforeAllocating) {
+  std::stringstream ss;
+  const std::int32_t hdr = 2;  // 2 dims, fp32
+  const std::int32_t dims[2] = {1 << 20, 1 << 14};
+  ss.write(reinterpret_cast<const char*>(&hdr), sizeof hdr);
+  ss.write(reinterpret_cast<const char*>(dims), sizeof dims);
+  EXPECT_THROW(Tensor::load(ss), Error);
+
+  // Dims whose product overflows 64 bits are caught by the same guard.
+  std::stringstream big;
+  const std::int32_t hdr4 = 4;
+  const std::int32_t dims4[4] = {1 << 30, 1 << 30, 1 << 30, 1 << 30};
+  big.write(reinterpret_cast<const char*>(&hdr4), sizeof hdr4);
+  big.write(reinterpret_cast<const char*>(dims4), sizeof dims4);
+  EXPECT_THROW(Tensor::load(big), Error);
+}
+
+TEST(Tensor, LoadRejectsNegativeDimension) {
+  std::stringstream ss;
+  const std::int32_t hdr = 2;
+  const std::int32_t dims[2] = {-1, 4};
+  ss.write(reinterpret_cast<const char*>(&hdr), sizeof hdr);
+  ss.write(reinterpret_cast<const char*>(dims), sizeof dims);
+  const float payload[4] = {1.f, 2.f, 3.f, 4.f};
+  ss.write(reinterpret_cast<const char*>(payload), sizeof payload);
+  EXPECT_THROW(Tensor::load(ss), Error);
+}
+
 // Reference GEMM for validation.
 void naive_gemm(bool ta, bool tb, int m, int n, int k, const float* a, int lda,
                 const float* b, int ldb, float* c, int ldc) {
