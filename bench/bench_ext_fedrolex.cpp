@@ -19,9 +19,11 @@ int main() {
 
   auto fedtrans = run_fedtrans(preset);
   std::cerr << "done: FedTrans\n";
-  auto heterofl = run_heterofl(preset, fedtrans.largest_spec);
+  auto heterofl = run_baseline(
+      Baseline::HeteroFL, preset, fedtrans.largest_spec);
   std::cerr << "done: HeteroFL\n";
-  auto fedrolex = run_fedrolex(preset, fedtrans.largest_spec);
+  auto fedrolex = run_baseline(
+      Baseline::FedRolex, preset, fedtrans.largest_spec);
   std::cerr << "done: FedRolex\n";
 
   TablePrinter t({"method", "accuracy (%)", "IQR (%)", "cost (MACs)",

@@ -23,9 +23,9 @@ int main() {
   for (auto& c : large.cells) c.width *= 2;
 
   auto global = run_single_model(preset, preset.initial_model);
-  auto heterofl = run_heterofl(preset, large);
-  auto splitmix = run_splitmix(preset, large);
-  auto fluid = run_fluid(preset, large);
+  auto heterofl = run_baseline(Baseline::HeteroFL, preset, large);
+  auto splitmix = run_baseline(Baseline::SplitMix, preset, large);
+  auto fluid = run_baseline(Baseline::FLuID, preset, large);
   auto cloud = run_centralized(preset, large);
   cloud.method = "Centralized (upper bound)";
   global.method = "Global model (FedAvg)";

@@ -34,9 +34,11 @@ int main() {
   for (const auto& preset : presets) {
     std::cerr << "running " << preset.name << "...\n";
     auto fedtrans = run_fedtrans(preset);
-    auto fluid = run_fluid(preset, fedtrans.largest_spec);
-    auto heterofl = run_heterofl(preset, fedtrans.largest_spec);
-    auto splitmix = run_splitmix(preset, fedtrans.largest_spec);
+    auto fluid = run_baseline(Baseline::FLuID, preset, fedtrans.largest_spec);
+    auto heterofl = run_baseline(
+        Baseline::HeteroFL, preset, fedtrans.largest_spec);
+    auto splitmix = run_baseline(
+        Baseline::SplitMix, preset, fedtrans.largest_spec);
     for (const auto* r : {&fedtrans, &fluid, &heterofl, &splitmix})
       add_box(t, preset.name, *r);
   }

@@ -33,9 +33,12 @@ int main() {
   const int probe = 5;  // evaluate every 5 rounds
 
   auto fedtrans = run_fedtrans(preset, probe);
-  auto fluid = run_fluid(preset, fedtrans.largest_spec, probe);
-  auto heterofl = run_heterofl(preset, fedtrans.largest_spec, probe);
-  auto splitmix = run_splitmix(preset, fedtrans.largest_spec, probe);
+  auto fluid = run_baseline(
+      Baseline::FLuID, preset, fedtrans.largest_spec, probe);
+  auto heterofl = run_baseline(
+      Baseline::HeteroFL, preset, fedtrans.largest_spec, probe);
+  auto splitmix = run_baseline(
+      Baseline::SplitMix, preset, fedtrans.largest_spec, probe);
 
   for (const auto* r : {&fedtrans, &fluid, &heterofl, &splitmix})
     print_series(*r);

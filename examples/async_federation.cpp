@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
@@ -31,31 +32,36 @@ int main() {
   Model init(preset.initial_model, rng);
   const int updates = preset.fedtrans.rounds;
 
-  FlRunConfig scfg;
+  SessionConfig scfg;
   scfg.rounds = updates;
   scfg.clients_per_round = preset.fedtrans.clients_per_round;
   scfg.local = preset.fedtrans.local;
-  FedAvgRunner sync(init, data, fleet, scfg);
+  FederationEngine sync(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      scfg);
   sync.run();
   double sync_wall = 0.0;
   for (const auto& rec : sync.history()) sync_wall += rec.round_time_s;
 
-  AsyncRunConfig acfg;
-  acfg.concurrency = preset.fedtrans.clients_per_round;
-  acfg.buffer_size = preset.fedtrans.clients_per_round;
-  acfg.aggregations = updates;
+  SessionConfig acfg;
+  acfg.mode = SessionMode::Async;
+  acfg.async.concurrency = preset.fedtrans.clients_per_round;
+  acfg.async.buffer_size = preset.fedtrans.clients_per_round;
+  acfg.async.aggregations = updates;
   acfg.local = preset.fedtrans.local;
-  FedBuffRunner async_runner(init, data, fleet, acfg);
+  FederationEngine async_runner(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, acfg);
   async_runner.run();
 
   TablePrinter t({"method", "server updates", "wall-clock (s)",
                   "accuracy (%)"});
   t.add_row({"FedAvg (sync)", std::to_string(updates),
              fmt_fixed(sync_wall, 1),
-             fmt_fixed(sync.mean_client_accuracy() * 100, 2)});
+             fmt_fixed(mean(sync.client_accuracy()) * 100, 2)});
   t.add_row({"FedBuff (async)", std::to_string(updates),
              fmt_fixed(async_runner.now_s(), 1),
-             fmt_fixed(async_runner.mean_client_accuracy() * 100, 2)});
+             fmt_fixed(mean(async_runner.client_accuracy()) * 100, 2)});
   t.print(std::cout);
   std::cout << "\nspeedup: " << fmt_fixed(sync_wall / async_runner.now_s(), 2)
             << "x wall-clock at mean staleness "

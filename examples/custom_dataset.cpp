@@ -56,16 +56,18 @@ int main() {
   cfg.max_models = 4;
   cfg.seed = 7;
 
-  FedTransTrainer trainer(initial, data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(initial, cfg), data, fleet, cfg);
+  auto& fedtrans = trainer.strategy_as<FedTransStrategy>();
   trainer.run();
-  const FinalEval ev = trainer.evaluate_final();
+  const FinalEval ev = fedtrans.evaluate_final();
 
   TablePrinter t({"model", "MACs", "clients deployed"});
-  std::vector<int> per_model(static_cast<std::size_t>(trainer.num_models()));
+  std::vector<int> per_model(static_cast<std::size_t>(fedtrans.num_models()));
   for (int m : ev.client_model) ++per_model[static_cast<std::size_t>(m)];
-  for (int k = 0; k < trainer.num_models(); ++k)
-    t.add_row({trainer.model(k).spec().summary(),
-               fmt_macs(static_cast<double>(trainer.model(k).macs())),
+  for (int k = 0; k < fedtrans.num_models(); ++k)
+    t.add_row({fedtrans.model(k).spec().summary(),
+               fmt_macs(static_cast<double>(fedtrans.model(k).macs())),
                std::to_string(per_model[static_cast<std::size_t>(k)])});
   t.print(std::cout);
   std::cout << "\nmean accuracy " << fmt_fixed(ev.mean_accuracy * 100, 2)

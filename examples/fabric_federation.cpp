@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "fl/runner.hpp"
 #include "harness/presets.hpp"
@@ -15,9 +16,9 @@ using namespace fedtrans;
 
 namespace {
 
-void print_history(const FedAvgRunner& runner) {
+void print_history(const FederationEngine& engine) {
   TablePrinter t({"round", "loss", "participants", "lost"});
-  for (const auto& rec : runner.history())
+  for (const auto& rec : engine.history())
     t.add_row({std::to_string(rec.round), fmt_fixed(rec.avg_loss, 4),
                std::to_string(rec.participants),
                std::to_string(rec.lost_updates)});
@@ -34,24 +35,28 @@ int main() {
   Rng rng(7);
   Model init(preset.initial_model, rng);
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 6;
   cfg.clients_per_round = preset.fedtrans.clients_per_round;
   cfg.local = preset.fedtrans.local;
   cfg.seed = 3;
 
   // In-process reference vs. fault-free fabric: bitwise identical.
-  FedAvgRunner in_proc(init, data, fleet, cfg);
+  FederationEngine in_proc(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   in_proc.run();
 
-  FlRunConfig fab = cfg;
+  SessionConfig fab = cfg;
   fab.use_fabric = true;
-  FedAvgRunner fabric(init, data, fleet, fab);
+  FederationEngine fabric(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      fab);
   fabric.run();
 
   double max_diff = 0.0;
-  auto wa = in_proc.model().weights();
-  auto wb = fabric.model().weights();
+  auto wa = in_proc.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = fabric.strategy_as<FedAvgStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     for (std::int64_t j = 0; j < wa[i].numel(); ++j)
       max_diff = std::max(
@@ -67,14 +72,16 @@ int main() {
 
   // Same run on a hostile network: drop/duplicate/reorder frames, and let
   // devices vanish mid-round. Rounds still close; losses are accounted.
-  FlRunConfig lossy = fab;
-  lossy.overcommit = 0.5;         // over-select to absorb the losses
-  lossy.deadline_quantile = 0.8;  // close the round at the 80th percentile
+  SessionConfig lossy = fab;
   lossy.fabric_faults.drop_prob = 0.15;
   lossy.fabric_faults.dup_prob = 0.05;
   lossy.fabric_faults.reorder_prob = 0.1;
   lossy.fabric_faults.dropout_prob = 0.15;
-  FedAvgRunner hostile(init, data, fleet, lossy);
+  FedAvgOptions overcommit;
+  overcommit.overcommit = 0.5;         // over-select to absorb the losses
+  overcommit.deadline_quantile = 0.8;  // close the round at the 80th pct
+  FederationEngine hostile(std::make_unique<FedAvgStrategy>(init, overcommit),
+                           data, fleet, lossy);
   hostile.run();
 
   std::cout << "lossy fabric (15% loss, 15% dropout, over-commit 1.5x):\n";
@@ -88,6 +95,6 @@ int main() {
             << s.frames_reordered.load() << ", client dropouts "
             << s.client_dropouts.load() << "\n";
   std::cout << "final mean client accuracy: "
-            << fmt_fixed(100.0 * hostile.mean_client_accuracy(), 1) << "%\n";
+            << fmt_fixed(100.0 * mean(hostile.client_accuracy()), 1) << "%\n";
   return 0;
 }

@@ -104,10 +104,11 @@ int main(int argc, char** argv) {
     auto ft = run_fedtrans(preset);
     std::cout << "(FedTrans largest model: " << ft.largest_spec.summary()
               << ")\n";
-    if (method == "heterofl") res = run_heterofl(preset, ft.largest_spec);
-    else if (method == "splitmix") res = run_splitmix(preset, ft.largest_spec);
-    else if (method == "fluid") res = run_fluid(preset, ft.largest_spec);
-    else usage("bad --method");
+    Baseline kind = Baseline::HeteroFL;
+    if (method == "splitmix") kind = Baseline::SplitMix;
+    else if (method == "fluid") kind = Baseline::FLuID;
+    else if (method != "heterofl") usage("bad --method");
+    res = run_baseline(kind, preset, ft.largest_spec);
   }
 
   TablePrinter t({"method", "accu (%)", "IQR (%)", "cost", "storage",

@@ -29,12 +29,14 @@ int main() {
             << "  (disparity " << fmt_fixed(fleet_disparity(fleet), 1)
             << "x)\n\n";
 
-  FedTransTrainer trainer(preset.initial_model, data, fleet, preset.fedtrans);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(preset.initial_model, preset.fedtrans),
+      data, fleet, preset.fedtrans);
   trainer.run();
 
   // --- Model family ------------------------------------------------------
   TablePrinter family({"model", "architecture", "MACs", "params", "created"});
-  for (const auto& e : trainer.entries()) {
+  for (const auto& e : trainer.strategy_as<FedTransStrategy>().entries()) {
     family.add_row({e.model->spec().name, e.model->spec().summary(),
                     fmt_macs(static_cast<double>(e.model->macs())),
                     std::to_string(e.model->num_params()),
@@ -44,12 +46,15 @@ int main() {
   family.print(std::cout);
 
   // --- Deployment report -------------------------------------------------
-  const FinalEval ev = trainer.evaluate_final();
-  std::vector<int> per_model(static_cast<std::size_t>(trainer.num_models()));
+  const FinalEval ev = trainer.strategy_as<FedTransStrategy>().evaluate_final();
+  std::vector<int> per_model(
+      static_cast<std::size_t>(
+          trainer.strategy_as<FedTransStrategy>().num_models()));
   for (int m : ev.client_model) ++per_model[static_cast<std::size_t>(m)];
   std::cout << "\nclient -> model assignment (by best utility):\n";
-  for (int k = 0; k < trainer.num_models(); ++k)
-    std::cout << "  " << trainer.model(k).spec().name << ": "
+  for (int k = 0; k < trainer.strategy_as<FedTransStrategy>().num_models(); ++k)
+    std::cout << "  " << trainer.strategy_as<FedTransStrategy>(
+        ).model(k).spec().name << ": "
               << per_model[static_cast<std::size_t>(k)] << " clients\n";
   std::cout << "\nmean accuracy " << fmt_fixed(ev.mean_accuracy * 100, 2)
             << "%, IQR " << fmt_fixed(ev.accuracy_iqr * 100, 2) << "%\n";

@@ -18,7 +18,8 @@ int main() {
 
   MethodResult fedtrans = run_fedtrans(preset);
   MethodResult fedavg = run_single_model(preset, preset.initial_model);
-  MethodResult heterofl = run_heterofl(preset, fedtrans.largest_spec);
+  MethodResult heterofl = run_baseline(
+      Baseline::HeteroFL, preset, fedtrans.largest_spec);
 
   TablePrinter t({"method", "mean accu (%)", "IQR (%)", "cost", "network"});
   for (const auto* r : {&fedtrans, &fedavg, &heterofl}) {

@@ -3,7 +3,8 @@
 // This is the 60-second tour of the public API:
 //   1. generate a federated dataset (or plug in your own ClientData shards),
 //   2. sample a heterogeneous device fleet,
-//   3. hand FedTransTrainer a small initial model and let it grow the family,
+//   3. build a FederationEngine around a FedTransStrategy holding a small
+//      initial model, and let it grow the family round by round,
 //   4. read back the per-client assignment and accuracy.
 
 #include <iostream>
@@ -24,27 +25,32 @@ int main() {
             << ", fleet disparity: " << fmt_fixed(fleet_disparity(fleet), 1)
             << "x, initial model: " << preset.initial_model.summary() << "\n";
 
-  FedTransTrainer trainer(preset.initial_model, data, fleet, preset.fedtrans);
+  // The strategy takes the whole FedTransConfig; the engine runs the
+  // session it describes (rounds, participants, local training, seed).
+  FederationEngine engine(
+      std::make_unique<FedTransStrategy>(preset.initial_model, preset.fedtrans),
+      data, fleet, preset.fedtrans);
+  auto& fedtrans = engine.strategy_as<FedTransStrategy>();
   for (int r = 0; r < preset.fedtrans.rounds; ++r) {
-    const double loss = trainer.run_round();
+    const double loss = engine.run_round();
     if (r % 5 == 0)
       std::cout << "round " << r << "  loss " << fmt_fixed(loss, 3)
-                << "  models " << trainer.num_models() << "\n";
+                << "  models " << fedtrans.num_models() << "\n";
   }
 
   std::cout << "\nmodel family:\n";
-  for (const auto& e : trainer.entries())
+  for (const auto& e : fedtrans.entries())
     std::cout << "  " << e.model->spec().summary() << "  "
               << fmt_macs(static_cast<double>(e.model->macs()))
               << "  (created round " << e.created_round << ")\n";
 
-  const FinalEval ev = trainer.evaluate_final();
+  const FinalEval ev = fedtrans.evaluate_final();
   std::cout << "\nmean client accuracy: "
             << fmt_fixed(ev.mean_accuracy * 100, 2)
             << "%  (IQR " << fmt_fixed(ev.accuracy_iqr * 100, 2) << "%)\n";
-  std::cout << "training cost: " << fmt_macs(trainer.costs().total_macs())
-            << ", network: " << fmt_bytes(trainer.costs().network_bytes())
-            << ", storage: " << fmt_bytes(trainer.costs().storage_bytes())
+  std::cout << "training cost: " << fmt_macs(engine.costs().total_macs())
+            << ", network: " << fmt_bytes(engine.costs().network_bytes())
+            << ", storage: " << fmt_bytes(engine.costs().storage_bytes())
             << "\n";
   return 0;
 }

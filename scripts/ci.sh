@@ -9,7 +9,8 @@
 # chaos-scenario sweep (test_chaos — fault x topology x Byzantine-attack
 # matrix, invariant checks under parallel ctest with pinned
 # FEDTRANS_THREADS), the robust-aggregation gates (test_robust), and the
-# engine/shim parity gates (test_engine_parity).
+# engine golden (test_engine_golden — every strategy pinned to recorded
+# weight/history/cost/accuracy/checkpoint hashes at 1 and 4 threads).
 #
 # Beyond the main leg, two auxiliary builds gate kernel and fabric hygiene:
 #   * an ASan+UBSan build (FEDTRANS_SANITIZE=ON) running the tensor/nn
@@ -17,7 +18,10 @@
 #     lowering are exactly the code where an off-by-one tail read would
 #     otherwise go unnoticed — plus the networked code: the wire codecs
 #     (test_wire), the federation server over every topology (test_fabric,
-#     test_fabric_golden) and the telemetry layer (test_obs);
+#     test_fabric_golden) over the simulated and the socket transport
+#     (test_socket_transport), the telemetry layer (test_obs), the engine
+#     golden (test_engine_golden) and the checkpoint decoder, which reads
+#     bytes from disk (test_checkpoint);
 #   * a SIMD-disabled build (FEDTRANS_SIMD=OFF, still -Werror) proving the
 #     scalar parity reference compiles warnings-clean on its own.
 # Set FEDTRANS_CI_FAST=1 to skip both auxiliary legs.
@@ -46,29 +50,33 @@ FEDTRANS_THREADS=4 timeout 300 "$BUILD_DIR"/example_multiproc_federation
 
 # Tracing-enabled adversarial leg: the chaos-scenario sweep (now including
 # the Byzantine attack matrix and the robust-aggregation suite), the
-# robust-reducer unit/property gates, the parity gates and the flat-fabric
-# golden must stay bitwise deterministic with live tracing
+# robust-reducer unit/property gates, the parity gates, the flat-fabric
+# golden and the engine golden must stay bitwise deterministic with live
+# tracing
 # (FEDTRANS_TRACE=1 autostarts wall-clock tracing in every test binary;
 # test_obs also exercises the virtual clock explicitly). test_chaos/test_robust run with the
 # CMake-pinned FEDTRANS_THREADS=4 so their 1-vs-4-thread determinism
 # checks see a stable pool regardless of the CI host's core count.
 FEDTRANS_TRACE=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -j "$JOBS" -R 'test_(chaos|robust|fabric|fabric_golden|engine_parity|obs)$'
+  -j "$JOBS" -R 'test_(chaos|robust|fabric|fabric_golden|engine_golden|obs)$'
 
 if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
   # ASan+UBSan over the kernel-heavy suites (tensor, dtype, GEMM backends,
   # conv lowerings, layers), the bitwise training golden, whose hashes
-  # must hold under the sanitizer build too, and the networked suites: wire
-  # decoding of untrusted bytes, the federation server's broadcast/collect
-  # paths at every tree depth (with the flat-fabric golden) and tracing.
+  # must hold under the sanitizer build too, the engine golden, and the
+  # suites that decode untrusted bytes or move them between endpoints: the
+  # wire codecs, the federation server's broadcast/collect paths at every
+  # tree depth (with the flat-fabric golden), the socket transport, the
+  # checkpoint decoder, and tracing.
   SAN_DIR="$BUILD_DIR-asan"
   cmake -B "$SAN_DIR" -S . -DFEDTRANS_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS" --target \
     test_tensor test_gemm_simd test_mixed_precision test_backend \
     test_layers test_layers_extended test_train_golden \
-    test_wire test_fabric test_fabric_golden test_obs
+    test_wire test_fabric test_fabric_golden test_obs test_engine_golden \
+    test_checkpoint test_socket_transport
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|train_golden|wire|fabric|fabric_golden|obs)$'
+    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|train_golden|wire|fabric|fabric_golden|obs|engine_golden|checkpoint|socket_transport)$'
 
   # Scalar-only build: the always-on parity reference must stay
   # warnings-clean without any SIMD code paths compiled in, and reproduce

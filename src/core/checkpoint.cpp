@@ -1,5 +1,5 @@
-// FedTransTrainer checkpoint/resume. The checkpoint captures every piece of
-// dynamic coordinator state so a restored trainer continues bit-identically:
+// FedTrans checkpoint/resume. The checkpoint captures every piece of
+// dynamic coordinator state so a restored engine continues bit-identically:
 // planet-scale FL runs span days and preemptible infrastructure, so the
 // coordinator must be restartable without perturbing the training
 // trajectory (FedScale and production systems like Papaya checkpoint the
@@ -7,8 +7,6 @@
 // FedTransStrategy (model family, utilities, DoC/activeness, transform
 // counters) and the FederationEngine (Rng, costs, selector, round counter,
 // history); the checkpoint serializes both.
-
-#include <fstream>
 
 #include "common/check.hpp"
 #include "common/serial.hpp"
@@ -63,17 +61,27 @@ RoundRecord read_record(std::istream& is) {
   return r;
 }
 
+/// The engine's strategy as FedTrans; anything else has no checkpoint
+/// format, so refuse loudly instead of writing or reading garbage.
+FedTransStrategy& fedtrans_strategy(FederationEngine& engine) {
+  auto* s = dynamic_cast<FedTransStrategy*>(&engine.strategy());
+  FT_CHECK_MSG(s != nullptr, "checkpointing needs a FedTransStrategy engine, "
+                             "but the engine runs strategy '"
+                                 << engine.strategy().name() << "'");
+  return *s;
+}
+
 }  // namespace
 
-void FedTransTrainer::save_checkpoint(std::ostream& os) {
-  FedTransStrategy& s = *strategy_;
+void save_checkpoint(FederationEngine& engine, std::ostream& os) {
+  FedTransStrategy& s = fedtrans_strategy(engine);
   write_pod(os, kCheckpointMagic);
   write_pod(os, kCheckpointVersion);
-  // Compatibility fingerprint: restoring into a trainer with a different
+  // Compatibility fingerprint: restoring into an engine with a different
   // fleet/dataset/seed would silently diverge, so fail loudly instead.
   write_pod<std::uint64_t>(os, s.cfg_.seed);
   write_pod<std::uint32_t>(os,
-                           static_cast<std::uint32_t>(engine_->fleet().size()));
+                           static_cast<std::uint32_t>(engine.fleet().size()));
 
   // Model family.
   write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(s.models_.size()));
@@ -87,29 +95,29 @@ void FedTransTrainer::save_checkpoint(std::ostream& os) {
   s.cm_->save(os);
   s.doc_.save(os);
   s.act_->save(os);
-  engine_->costs().save(os);
-  engine_->selector().save_state(os);
+  engine.costs().save(os);
+  engine.selector().save_state(os);
 
-  write_pod(os, engine_->rng().state());
-  write_pod<std::int32_t>(os, engine_->rounds_done());
+  write_pod(os, engine.rng().state());
+  write_pod<std::int32_t>(os, engine.rounds_done());
   write_pod<std::int32_t>(os, s.transforms_);
   write_pod<std::int32_t>(os, s.next_model_id_);
   write_pod<std::uint8_t>(os, s.exhausted_ ? 1 : 0);
 
-  write_pod<std::uint64_t>(os, engine_->history().size());
-  for (const auto& rec : engine_->history()) write_record(os, rec);
+  write_pod<std::uint64_t>(os, engine.history().size());
+  for (const auto& rec : engine.history()) write_record(os, rec);
   FT_CHECK_MSG(os.good(), "checkpoint write failed");
 }
 
-void FedTransTrainer::load_checkpoint(std::istream& is) {
-  FedTransStrategy& s = *strategy_;
+void load_checkpoint(FederationEngine& engine, std::istream& is) {
+  FedTransStrategy& s = fedtrans_strategy(engine);
   FT_CHECK_MSG(read_pod<std::uint64_t>(is) == kCheckpointMagic,
                "not a FedTrans checkpoint");
   FT_CHECK_MSG(read_pod<std::uint32_t>(is) == kCheckpointVersion,
                "unsupported checkpoint version");
   FT_CHECK_MSG(read_pod<std::uint64_t>(is) == s.cfg_.seed,
                "checkpoint was written with a different seed");
-  FT_CHECK_MSG(read_pod<std::uint32_t>(is) == engine_->fleet().size(),
+  FT_CHECK_MSG(read_pod<std::uint32_t>(is) == engine.fleet().size(),
                "checkpoint was written with a different fleet");
 
   const auto n_models = read_pod<std::uint32_t>(is);
@@ -132,33 +140,21 @@ void FedTransTrainer::load_checkpoint(std::istream& is) {
   s.act_ = std::make_unique<ActivenessTracker>(
       s.models_.back().model->num_cells(), s.cfg_.act_window);
   s.act_->load(is);
-  engine_->costs_mutable().load(is);
-  engine_->selector().load_state(is);
+  engine.costs_mutable().load(is);
+  engine.selector().load_state(is);
 
-  engine_->rng().set_state(read_pod<std::array<std::uint64_t, 4>>(is));
-  engine_->set_rounds_done(read_pod<std::int32_t>(is));
+  engine.rng().set_state(read_pod<std::array<std::uint64_t, 4>>(is));
+  engine.set_rounds_done(read_pod<std::int32_t>(is));
   s.transforms_ = read_pod<std::int32_t>(is);
   s.next_model_id_ = read_pod<std::int32_t>(is);
   s.exhausted_ = read_pod<std::uint8_t>(is) != 0;
 
   const auto n_hist = read_pod<std::uint64_t>(is);
-  auto& history = engine_->history_mutable();
+  auto& history = engine.history_mutable();
   history.clear();
   history.reserve(static_cast<std::size_t>(n_hist));
   for (std::uint64_t i = 0; i < n_hist; ++i)
     history.push_back(read_record(is));
-}
-
-void FedTransTrainer::save_checkpoint_file(const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  FT_CHECK_MSG(os.is_open(), "cannot open checkpoint file " << path);
-  save_checkpoint(os);
-}
-
-void FedTransTrainer::load_checkpoint_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  FT_CHECK_MSG(is.is_open(), "cannot open checkpoint file " << path);
-  load_checkpoint(is);
 }
 
 }  // namespace fedtrans

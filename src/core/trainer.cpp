@@ -63,9 +63,8 @@ std::vector<ClientTask> FedTransStrategy::plan_round(RoundContext& ctx,
 
 void FedTransStrategy::prepare_task(ClientTask& task, Rng& rng,
                                     RoundContext&) {
-  // Model assignment consumes the coordinator Rng in task order — the same
-  // sequential pre-pass (assign, fork, assign, fork, …) the legacy trainer
-  // ran, so draws stay bit-identical.
+  // Model assignment consumes the coordinator Rng in task order, as a
+  // sequential pre-pass (assign, fork, assign, fork, …).
   task.tag = cm_->assign(task.client, rng);
 }
 
@@ -301,18 +300,6 @@ FinalEval FedTransStrategy::evaluate_final() {
   ev.mean_accuracy = mean(ev.client_accuracy);
   ev.accuracy_iqr = iqr(ev.client_accuracy);
   return ev;
-}
-
-FedTransTrainer::FedTransTrainer(ModelSpec initial,
-                                 const FederatedDataset& data,
-                                 std::vector<DeviceProfile> fleet,
-                                 FedTransConfig cfg) {
-  auto strategy =
-      std::make_unique<FedTransStrategy>(std::move(initial), cfg);
-  strategy_ = strategy.get();
-  engine_ = std::make_unique<FederationEngine>(
-      std::move(strategy), data, std::move(fleet),
-      static_cast<const SessionConfig&>(cfg));
 }
 
 }  // namespace fedtrans

@@ -19,9 +19,8 @@
 namespace fedtrans {
 
 /// Full FedTrans configuration (paper §5.1 / Table 7 defaults where noted):
-/// the layered engine SessionConfig (shared runtime + scheduling/transport)
-/// plus the Model Transformer / Model Aggregator knobs. Field-compatible
-/// with the historical flat struct.
+/// the engine SessionConfig plus the Model Transformer / Model Aggregator
+/// knobs. Pass it whole to FedTransStrategy and, sliced, to the engine.
 struct FedTransConfig : SessionConfig {
   FedTransConfig() { rounds = 60; }
 
@@ -81,8 +80,6 @@ struct FinalEval {
   double accuracy_iqr = 0.0;
 };
 
-class FedTransTrainer;
-
 /// The FedTrans coordinator (Algorithm 1) as an engine Strategy: per round
 /// it assigns every participant a compatible model by utility (the
 /// prepare_task hook), trains locally, jointly updates utilities,
@@ -128,10 +125,12 @@ class FedTransStrategy : public Strategy {
   const FedTransConfig& config() const { return cfg_; }
 
  private:
-  friend class FedTransTrainer;  // checkpointing serializes private state
+  // Checkpointing serializes private state.
+  friend void save_checkpoint(FederationEngine& engine, std::ostream& os);
+  friend void load_checkpoint(FederationEngine& engine, std::istream& is);
 
   /// The transform hook: grow the family when the newest model's DoC
-  /// crosses β (consumes ctx.rng exactly like the legacy coordinator).
+  /// crosses β (forks ctx.rng once per attempted transform).
   void maybe_transform(RoundContext& ctx);
   std::vector<Model*> model_ptrs();
 
@@ -164,50 +163,16 @@ class FedTransStrategy : public Strategy {
   double slowest_ = 0.0;
 };
 
-/// Historical entry point — a thin shim over FederationEngine +
-/// FedTransStrategy (bitwise parity with direct engine use is
-/// test-enforced).
-class FedTransTrainer {
- public:
-  FedTransTrainer(ModelSpec initial, const FederatedDataset& data,
-                  std::vector<DeviceProfile> fleet, FedTransConfig cfg);
-
-  /// Execute one round; returns mean participant loss.
-  double run_round() { return engine_->run_round(); }
-  void run() { engine_->run(); }  // cfg.rounds rounds
-
-  FinalEval evaluate_final() { return strategy_->evaluate_final(); }
-
-  /// Checkpointing. `save_checkpoint` persists the complete dynamic state:
-  /// the model family (specs + weights + per-model optimizer state), client
-  /// utilities, DoC/activeness histories, RNG state, cost meters and round
-  /// counters. `load_checkpoint` restores it into a trainer constructed
-  /// with the *same* dataset, fleet and config; resumed training then
-  /// replays bit-identically to an uninterrupted run (verified by tests).
-  void save_checkpoint(std::ostream& os);
-  void load_checkpoint(std::istream& is);
-  void save_checkpoint_file(const std::string& path);
-  void load_checkpoint_file(const std::string& path);
-
-  int num_models() const { return strategy_->num_models(); }
-  Model& model(int i) { return strategy_->model(i); }
-  const std::vector<ModelEntry>& entries() const {
-    return strategy_->entries();
-  }
-  const ClientManager& client_manager() const {
-    return strategy_->client_manager();
-  }
-  const CostMeter& costs() const { return engine_->costs(); }
-  const std::vector<RoundRecord>& history() const {
-    return engine_->history();
-  }
-  int rounds_done() const { return engine_->rounds_done(); }
-  int transforms_done() const { return strategy_->transforms_done(); }
-  FederationEngine& engine() { return *engine_; }
-
- private:
-  FedTransStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
-};
+/// FedTrans checkpoint/resume (src/core/checkpoint.cpp). `save_checkpoint`
+/// persists the complete dynamic state of an engine driving a
+/// FedTransStrategy: the model family (specs + weights + per-model
+/// optimizer state), client utilities, DoC/activeness histories, RNG state,
+/// cost meters, selector state, round counter and history.
+/// `load_checkpoint` restores it into an engine constructed with the *same*
+/// strategy config, dataset, fleet and session; resumed training then
+/// replays bit-identically to an uninterrupted run. Both fail loudly when
+/// the engine's strategy is not a FedTransStrategy.
+void save_checkpoint(FederationEngine& engine, std::ostream& os);
+void load_checkpoint(FederationEngine& engine, std::istream& is);
 
 }  // namespace fedtrans

@@ -126,6 +126,13 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
                  "linear strategy (FedAvg without compression, FedTrans, "
                  "HeteroFL).");
   }
+  if (cfg_.mode == SessionMode::Async)
+    FT_CHECK_MSG(cfg_.async.concurrency > 0 && cfg_.async.buffer_size > 0 &&
+                     cfg_.async.aggregations > 0 &&
+                     cfg_.async.staleness_exponent >= 0.0,
+                 "SessionConfig: the async block needs positive concurrency, "
+                 "buffer_size and aggregations and a non-negative "
+                 "staleness_exponent");
   selector_ = make_selector(cfg_.selector);
   {
     RoundContext ctx = make_context();
@@ -418,6 +425,15 @@ void FederationEngine::maybe_probe(int tick, RoundContext& ctx,
   rec.accuracy = strategy_->probe_accuracy(eval_ids, ctx);
 }
 
+std::vector<double> FederationEngine::client_accuracy() {
+  RoundContext ctx = make_context();
+  std::vector<double> accs;
+  accs.reserve(static_cast<std::size_t>(data_.num_clients()));
+  for (int c = 0; c < data_.num_clients(); ++c)
+    accs.push_back(strategy_->probe_accuracy({c}, ctx));
+  return accs;
+}
+
 void FederationEngine::run() {
   {
     FT_SPAN("engine", "run");
@@ -446,9 +462,6 @@ void FederationEngine::dispatch_async() {
 }
 
 void FederationEngine::run_async() {
-  FT_CHECK(cfg_.async.concurrency > 0 && cfg_.async.buffer_size > 0 &&
-           cfg_.async.aggregations > 0 &&
-           cfg_.async.staleness_exponent >= 0.0);
   if (cfg_.use_fabric) {
     run_async_fabric();
     return;

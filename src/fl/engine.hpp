@@ -54,10 +54,9 @@ void bill_trained_update(RoundContext& ctx, int client, double model_bytes,
 void bill_lost_update(RoundContext& ctx, ClientOutcome outcome,
                       double model_bytes, double model_macs);
 
-/// Observer of engine progress — the structured replacement for the ad-hoc
-/// eval_every / history plumbing the legacy runners grew. Observers are
-/// non-owning and invoked in registration order after each round (or, in
-/// async mode, after each server aggregation).
+/// Observer of engine progress. Observers are non-owning and invoked in
+/// registration order after each round (or, in async mode, after each
+/// server aggregation).
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
@@ -74,8 +73,7 @@ class RoundObserver {
 ///
 ///   plan_round         selection (+ strategy-specific trimming)
 ///   prepare_task ×n    per-task state (FedTrans model assignment); the
-///                      engine forks the task's Rng right after each call,
-///                      preserving legacy fork sequences bit-exactly
+///                      engine forks the task's Rng right after each call
 ///   client_payload ×n  materialize the model each task trains
 ///   (engine trains concurrently, in-process or over the fabric)
 ///   absorb_update ×n   fixed task-order reduction (+ cost billing)
@@ -88,10 +86,9 @@ class Strategy {
   virtual std::string name() const = 0;
 
   /// One-time binding, called from the engine constructor before any
-  /// round: build server models (the legacy runner constructors consumed
-  /// the coordinator Rng doing this — draws made here continue into round
-  /// 1 bit-identically) and capture the data/fleet references the strategy
-  /// needs outside of round hooks.
+  /// round: build server models (draws made on `rng` here continue into
+  /// round 1) and capture the data/fleet references the strategy needs
+  /// outside of round hooks.
   virtual void attach(RoundContext& /*ctx*/, Rng& /*rng*/) {}
 
   /// Build this round's work list; may consume `rng` (selection draws).
@@ -99,8 +96,8 @@ class Strategy {
   virtual std::vector<ClientTask> plan_round(RoundContext& ctx, Rng& rng);
 
   /// Per-task pre-pass, in task order, immediately before the engine forks
-  /// that task's Rng. Consume `rng` here (e.g. FedTrans model assignment)
-  /// and the legacy draw order is preserved exactly.
+  /// that task's Rng. Consume `rng` here (e.g. FedTrans model assignment):
+  /// the draws interleave with the forks (assign, fork, assign, fork, …).
   virtual void prepare_task(ClientTask& /*task*/, Rng& /*rng*/,
                             RoundContext& /*ctx*/) {}
 
@@ -186,7 +183,9 @@ class Strategy {
   /// round / cum_macs / participants / accuracy.
   virtual void finish_round(RoundContext& ctx, RoundRecord& rec) = 0;
 
-  /// Mean deployment accuracy over `ids` for the periodic probe.
+  /// Mean deployment accuracy over `ids`: each client evaluated on the
+  /// model it would deploy. The periodic probe passes a subsample;
+  /// FederationEngine::client_accuracy passes one client at a time.
   virtual double probe_accuracy(const std::vector<int>& ids,
                                 RoundContext& ctx) = 0;
 
@@ -217,7 +216,8 @@ class FederationEngine {
                    std::vector<DeviceProfile> fleet, SessionConfig cfg);
   ~FederationEngine();
   // Not movable: strategies capture &fleet_/&data_ in attach(), so a moved
-  // engine would leave them dangling. Shims hold engines by unique_ptr.
+  // engine would leave them dangling. Hold engines by unique_ptr to pass
+  // them around.
   FederationEngine(FederationEngine&&) = delete;
   FederationEngine& operator=(FederationEngine&&) = delete;
 
@@ -246,6 +246,10 @@ class FederationEngine {
   const CostMeter& costs() const { return costs_; }
   int rounds_done() const { return round_; }
   ClientSelector& selector() { return *selector_; }
+
+  /// Every client's accuracy on the model it would deploy, in client order:
+  /// the strategy's probe_accuracy asked about one client at a time.
+  std::vector<double> client_accuracy();
 
   /// Replace the selector built from cfg.selector — e.g. the population
   /// layer's availability-aware selector (src/pop). Call before any round
@@ -303,8 +307,8 @@ class FederationEngine {
   std::vector<std::unique_ptr<RoundObserver>> owned_observers_;
   int round_ = 0;
 
-  // Async-mode scheduling state (same completion-ordered queue the legacy
-  // FedBuffRunner used, so async runs replay bit-identically).
+  // Async-mode scheduling state: in-flight clients ordered by completion
+  // time.
   struct InFlight {
     double finish_s = 0.0;
     int client = 0;

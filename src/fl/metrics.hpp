@@ -32,7 +32,12 @@ class CostMeter {
   void add_client_round_time(double seconds) {
     ++time_count_;
     time_sum_ += seconds;
-    time_sumsq_ += seconds * seconds;
+    // Round the product before adding it: left to the compiler, whether it
+    // is contracted into a fused multiply-add depends on the build's flags
+    // and inlining (the sanitizer build fuses it, Release does not), and
+    // the checkpointed sum would differ by an ulp between builds.
+    const volatile double square = seconds * seconds;
+    time_sumsq_ += square;
     if (client_times_s_.size() < kMaxClientTimeSamples)
       client_times_s_.push_back(seconds);
     client_time_histogram().observe(seconds);

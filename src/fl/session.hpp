@@ -8,23 +8,6 @@
 
 namespace fedtrans {
 
-/// The shared runtime block every federated session carries — the one
-/// definition of the fields that were historically copy-pasted across
-/// FlRunConfig / FedTransConfig / BaselineConfig / AsyncRunConfig. The
-/// legacy config structs now inherit from this block, so a field added here
-/// is automatically available (and forwarded) everywhere.
-struct SessionRuntime {
-  /// Synchronous rounds to run (async sessions count aggregations instead).
-  int rounds = 50;
-  int clients_per_round = 10;
-  LocalTrainConfig local{};
-  /// Evaluate mean client accuracy every k rounds (0 = only on demand).
-  int eval_every = 0;
-  /// Client subsample size for periodic evaluation (0 = all clients).
-  int eval_clients = 32;
-  std::uint64_t seed = 1;
-};
-
 /// How the engine schedules client work: classic synchronous rounds, or
 /// buffered-asynchronous (FedBuff-style) aggregation.
 enum class SessionMode : std::uint8_t { Sync, Async };
@@ -155,16 +138,26 @@ struct AsyncBlock {
   double staleness_exponent = 0.5;
 };
 
-/// Engine-level session configuration: the shared runtime block plus the
-/// scheduling / transport knobs that apply to *every* strategy. Built
-/// fluently:
+/// The one session configuration: the round budget, local training and
+/// evaluation cadence plus the scheduling / transport knobs that apply to
+/// *every* strategy. Per-strategy knobs live with the strategy
+/// (FedAvgOptions, FedTransConfig, …). Built fluently:
 ///
 ///   auto cfg = SessionConfig{}
 ///                  .with_rounds(30)
 ///                  .with_clients_per_round(8)
 ///                  .with_seed(7)
 ///                  .with_fabric();   // wire-protocol message passing
-struct SessionConfig : SessionRuntime {
+struct SessionConfig {
+  /// Synchronous rounds to run (async sessions count aggregations instead).
+  int rounds = 50;
+  int clients_per_round = 10;
+  LocalTrainConfig local{};
+  /// Evaluate mean client accuracy every k rounds (0 = only on demand).
+  int eval_every = 0;
+  /// Client subsample size for periodic evaluation (0 = all clients).
+  int eval_clients = 32;
+  std::uint64_t seed = 1;
   SessionMode mode = SessionMode::Sync;
   /// Participant selection policy (Uniform reproduces the paper protocol).
   SelectorKind selector = SelectorKind::Uniform;
@@ -293,13 +286,6 @@ struct SessionConfig : SessionRuntime {
     robust.trim_fraction = trim_fraction;
     robust.clip_multiplier = clip_multiplier;
     return *this;
-  }
-
-  /// Lift a legacy config's shared block into an engine session config.
-  static SessionConfig from(const SessionRuntime& rt) {
-    SessionConfig cfg;
-    static_cast<SessionRuntime&>(cfg) = rt;
-    return cfg;
   }
 };
 

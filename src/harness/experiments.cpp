@@ -11,15 +11,18 @@
 namespace fedtrans {
 
 namespace {
-BaselineConfig to_baseline_cfg(const FedTransConfig& ft, int eval_every) {
-  // The shared runtime block (rounds, clients, local, eval, seed) is one
-  // definition since the SessionConfig refactor — slice it instead of
-  // copying field by field.
-  BaselineConfig cfg;
-  static_cast<SessionRuntime&>(cfg) = ft;
-  cfg.eval_every = eval_every;
-  return cfg;
+
+/// Every client's deployment accuracy plus the engine's bills.
+BaselineReport engine_report(FederationEngine& engine) {
+  BaselineReport rep;
+  rep.client_accuracy = engine.client_accuracy();
+  rep.mean_accuracy = mean(rep.client_accuracy);
+  rep.accuracy_iqr = iqr(rep.client_accuracy);
+  rep.costs = engine.costs();
+  rep.history = engine.history();
+  return rep;
 }
+
 }  // namespace
 
 MethodResult run_fedtrans(const ExperimentPreset& p, int eval_every) {
@@ -32,82 +35,67 @@ MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
   cfg.eval_every = eval_every;
   auto data = FederatedDataset::generate(p.dataset);
   auto fleet = sample_fleet(p.fleet);
-  FedTransTrainer trainer(p.initial_model, data, fleet, cfg);
-  trainer.run();
-  auto ev = trainer.evaluate_final();
+  FederationEngine engine(
+      std::make_unique<FedTransStrategy>(p.initial_model, cfg), data, fleet,
+      static_cast<const SessionConfig&>(cfg));
+  engine.run();
+  auto& fedtrans = engine.strategy_as<FedTransStrategy>();
+  auto ev = fedtrans.evaluate_final();
 
   MethodResult res;
   res.method = "FedTrans";
   res.report.client_accuracy = ev.client_accuracy;
   res.report.mean_accuracy = ev.mean_accuracy;
   res.report.accuracy_iqr = ev.accuracy_iqr;
-  res.report.costs = trainer.costs();
-  res.report.history = trainer.history();
-  res.num_models = trainer.num_models();
-  Model& largest = trainer.model(trainer.num_models() - 1);
+  res.report.costs = engine.costs();
+  res.report.history = engine.history();
+  res.num_models = fedtrans.num_models();
+  Model& largest = fedtrans.model(fedtrans.num_models() - 1);
   res.largest_spec = largest.spec();
   res.largest_macs = static_cast<double>(largest.macs());
   return res;
 }
 
-MethodResult run_heterofl(const ExperimentPreset& p, const ModelSpec& largest,
-                          int eval_every) {
+MethodResult run_baseline(Baseline kind, const ExperimentPreset& p,
+                          const ModelSpec& largest, int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  HeteroFLRunner runner(largest, data, fleet,
-                        to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
+  SessionConfig cfg = p.fedtrans;
+  cfg.eval_every = eval_every;
+  std::unique_ptr<Strategy> strategy;
   MethodResult res;
-  res.method = "HeteroFL";
-  res.report = runner.report();
+  switch (kind) {
+    case Baseline::HeteroFL:
+      res.method = "HeteroFL";
+      strategy = std::make_unique<HeteroFLStrategy>(largest);
+      break;
+    case Baseline::SplitMix:
+      res.method = "SplitMix";
+      strategy = std::make_unique<SplitMixStrategy>(largest);
+      break;
+    case Baseline::FLuID:
+      res.method = "FLuID";
+      strategy = std::make_unique<FluidStrategy>(largest);
+      break;
+    case Baseline::FedRolex:
+      res.method = "FedRolex";
+      strategy = std::make_unique<FedRolexStrategy>(largest);
+      break;
+  }
+  FederationEngine engine(std::move(strategy), data, sample_fleet(p.fleet),
+                          cfg);
+  engine.run();
+  res.report = engine_report(engine);
   res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(runner.global().macs());
-  return res;
-}
-
-MethodResult run_splitmix(const ExperimentPreset& p, const ModelSpec& largest,
-                          int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  SplitMixRunner runner(largest, data, fleet,
-                        to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
-  MethodResult res;
-  res.method = "SplitMix";
-  res.report = runner.report();
-  res.num_models = runner.num_bases();
-  res.largest_spec = largest;
-  return res;
-}
-
-MethodResult run_fedrolex(const ExperimentPreset& p, const ModelSpec& largest,
-                          int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  FedRolexRunner runner(largest, data, fleet,
-                        to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
-  MethodResult res;
-  res.method = "FedRolex";
-  res.report = runner.report();
-  res.num_models = runner.num_levels();
-  res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(runner.global().macs());
-  return res;
-}
-
-MethodResult run_fluid(const ExperimentPreset& p, const ModelSpec& largest,
-                       int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  FluidRunner runner(largest, data, fleet,
-                     to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
-  MethodResult res;
-  res.method = "FLuID";
-  res.report = runner.report();
-  res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(runner.global().macs());
+  // SplitMix's bases are not one model: it reports the base count instead
+  // of a largest-model size.
+  if (kind == Baseline::SplitMix) {
+    res.num_models = engine.strategy_as<SplitMixStrategy>().num_bases();
+  } else {
+    res.largest_macs =
+        static_cast<double>(engine.strategy().reference_model().macs());
+  }
+  if (kind == Baseline::FedRolex)
+    res.num_models = engine.strategy_as<FedRolexStrategy>().num_levels();
   return res;
 }
 
@@ -116,30 +104,25 @@ MethodResult run_single_model(const ExperimentPreset& p, const ModelSpec& spec,
                               int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
   auto fleet = sample_fleet(p.fleet);
-  FlRunConfig cfg;
-  cfg.rounds = p.fedtrans.rounds;
-  cfg.clients_per_round = p.fedtrans.clients_per_round;
-  cfg.local = p.fedtrans.local;
+  SessionConfig cfg = p.fedtrans;
   cfg.local.sgd.prox_mu = prox_mu;
-  cfg.server_opt = opt;
   cfg.eval_every = eval_every;
-  cfg.eval_clients = p.fedtrans.eval_clients;
-  cfg.seed = p.fedtrans.seed;
+  FedAvgOptions opts;
+  opts.server_opt = opt;
   Rng rng(p.fedtrans.seed + 41);
-  FedAvgRunner runner(Model(spec, rng), data, fleet, cfg);
-  runner.run();
+  FederationEngine engine(
+      std::make_unique<FedAvgStrategy>(Model(spec, rng), opts), data, fleet,
+      cfg);
+  engine.run();
 
   MethodResult res;
   res.method = opt == ServerOptKind::FedYogi
                    ? "FedYogi"
                    : (prox_mu > 0.0 ? "FedProx" : "FedAvg");
-  res.report.client_accuracy = runner.per_client_accuracy();
-  res.report.mean_accuracy = mean(res.report.client_accuracy);
-  res.report.accuracy_iqr = iqr(res.report.client_accuracy);
-  res.report.costs = runner.costs();
-  res.report.history = runner.history();
+  res.report = engine_report(engine);
   res.largest_spec = spec;
-  res.largest_macs = static_cast<double>(runner.model().macs());
+  res.largest_macs = static_cast<double>(
+      engine.strategy_as<FedAvgStrategy>().model().macs());
   return res;
 }
 

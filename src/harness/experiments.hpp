@@ -1,10 +1,19 @@
 #pragma once
 
-#include "baselines/common.hpp"
+#include "fl/metrics.hpp"
 #include "fl/server_opt.hpp"
 #include "harness/presets.hpp"
 
 namespace fedtrans {
+
+/// Per-method accuracy and cost summary consumed by the benchmark harness.
+struct BaselineReport {
+  std::vector<double> client_accuracy;
+  double mean_accuracy = 0.0;
+  double accuracy_iqr = 0.0;
+  CostMeter costs;
+  std::vector<RoundRecord> history;
+};
 
 /// Uniform per-method result consumed by the table/figure benches.
 struct MethodResult {
@@ -24,15 +33,16 @@ MethodResult run_fedtrans(const ExperimentPreset& p, int eval_every = 0);
 MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
                               const FedTransConfig& cfg, int eval_every = 0);
 
-MethodResult run_heterofl(const ExperimentPreset& p, const ModelSpec& largest,
-                          int eval_every = 0);
-MethodResult run_splitmix(const ExperimentPreset& p, const ModelSpec& largest,
-                          int eval_every = 0);
-MethodResult run_fluid(const ExperimentPreset& p, const ModelSpec& largest,
-                       int eval_every = 0);
-/// FedRolex (extension baseline): rolling sub-model extraction.
-MethodResult run_fedrolex(const ExperimentPreset& p, const ModelSpec& largest,
-                          int eval_every = 0);
+/// The multi-model baselines FedTrans is compared against (FedRolex is an
+/// extension baseline: rolling sub-model extraction).
+enum class Baseline { HeteroFL, SplitMix, FLuID, FedRolex };
+
+/// Run a multi-model baseline on a preset. Per the paper's protocol (§A.1),
+/// every baseline receives the *largest* model FedTrans produced as its
+/// input architecture and FedTrans's session (rounds, clients, local
+/// training, seed).
+MethodResult run_baseline(Baseline kind, const ExperimentPreset& p,
+                          const ModelSpec& largest, int eval_every = 0);
 
 /// Single-global-model FL (FedAvg / FedProx via prox_mu / FedYogi).
 MethodResult run_single_model(const ExperimentPreset& p, const ModelSpec& spec,

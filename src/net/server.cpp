@@ -1207,6 +1207,8 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
 
   if (net_->client_dropped_out(job, client)) {
     t.outcome = ClientOutcome::Dropout;
+    net_->stats_mutable().client_dropouts.fetch_add(
+        1, std::memory_order_relaxed);
     return t;  // trained, then vanished — no upload, no retries
   }
 

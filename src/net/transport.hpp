@@ -45,7 +45,7 @@ struct FaultConfig {
   double dup_prob = 0.0;
   /// Probability a frame is delayed behind its link successor (reordering).
   /// This perturbs the simulated delivery timestamps (and hence the
-  /// (deliver_at, seq) order receivers consume in); the synchronous runner
+  /// (deliver_at, seq) order receivers consume in); a synchronous round
   /// drains complete mailboxes and reduces in selection order, so outcomes
   /// there are reorder-invariant by design — the knob becomes
   /// behavior-relevant for consumers that apply a delivery window (e.g. a

@@ -43,6 +43,17 @@ class ViewBuf : public std::streambuf {
   }
 };
 
+/// Read a u32 element count and reject it before anything is allocated for
+/// it: every element takes at least `min_entry_bytes` on the wire, so a
+/// count the rest of the frame cannot hold is corrupt (or forged).
+std::uint32_t read_count(std::istream& is, std::uint64_t min_entry_bytes,
+                         const char* what) {
+  const auto n = read_pod<std::uint32_t>(is);
+  FT_CHECK_MSG(n <= stream_remaining(is) / min_entry_bytes,
+               what << " count " << n << " exceeds the remaining frame bytes");
+  return n;
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t n) {
@@ -61,7 +72,8 @@ void write_weight_set(std::ostream& os, const WeightSet& ws) {
 }
 
 WeightSet read_weight_set(std::istream& is) {
-  const auto n = read_pod<std::uint32_t>(is);
+  // A serialized tensor is at least its 4-byte header.
+  const auto n = read_count(is, 4, "weight-set tensor");
   WeightSet ws;
   ws.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) ws.push_back(Tensor::load(is));
@@ -99,7 +111,8 @@ WeightSet read_group_sum_int8(std::istream& is) {
   const auto scale = read_pod<float>(is);
   FT_CHECK_MSG(std::isfinite(scale) && scale >= 0.0f,
                "int8 PartialUp group scale corrupt: " << scale);
-  const auto n = read_pod<std::uint32_t>(is);
+  // Each tensor is at least its 4-byte rank word.
+  const auto n = read_count(is, 4, "int8 PartialUp tensor");
   WeightSet sum;
   sum.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -109,6 +122,16 @@ WeightSet read_group_sum_int8(std::istream& is) {
     for (std::uint32_t k = 0; k < rank; ++k) {
       shape[k] = read_pod<std::int32_t>(is);
       FT_CHECK_MSG(shape[k] > 0, "int8 PartialUp tensor dim corrupt");
+    }
+    // One code byte per element must still be in the frame.
+    const std::uint64_t limit = stream_remaining(is);
+    std::uint64_t count = 1;
+    for (const int d : shape) {
+      const auto ud = static_cast<std::uint64_t>(d);
+      FT_CHECK_MSG(count <= limit / ud,
+                   "int8 PartialUp tensor shape exceeds the remaining frame "
+                   "bytes");
+      count *= ud;
     }
     Tensor t(shape);
     for (std::int64_t j = 0; j < t.numel(); ++j)
@@ -465,7 +488,8 @@ PartialUpdate decode_partial_up(std::string_view frame) {
     FT_CHECK_MSG(p.quant <= kPartialQuantF16,
                  "PartialUp quant byte corrupt: " << int{p.quant});
   }
-  const auto n = read_pod<std::uint32_t>(is);
+  // Entry: task, client, weight-set count, avg_loss, num_samples, macs.
+  const auto n = read_count(is, 4 + 4 + 4 + 8 + 4 + 8, "PartialUp entry");
   p.entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     UpdateEntry e;
@@ -482,7 +506,8 @@ PartialUpdate decode_partial_up(std::string_view frame) {
     p.entries.push_back(std::move(e));
   }
   if (p.reduced) {
-    const auto ng = read_pod<std::uint32_t>(is);
+    // Group: key, min_slot, count, weight, and a sum of at least 4 bytes.
+    const auto ng = read_count(is, 4 + 4 + 4 + 8 + 4, "PartialUp group");
     p.groups.reserve(ng);
     for (std::uint32_t i = 0; i < ng; ++i) {
       ReducedGroup g;
@@ -547,7 +572,8 @@ ShardDownlink decode_shard_down(std::string_view frame,
   FT_CHECK_MSG(d.leaf_lo >= 0 && d.leaf_hi > d.leaf_lo,
                "ShardDown leaf range corrupt: [" << d.leaf_lo << ", "
                                                  << d.leaf_hi << ")");
-  const auto nb = read_pod<std::uint32_t>(is);
+  // Body: shipped flag, then an 8-byte length prefix or body hash.
+  const auto nb = read_count(is, 1 + 8, "ShardDown body");
   d.bodies.reserve(nb);
   d.missing.assign(nb, 0);
   for (std::uint32_t i = 0; i < nb; ++i) {
@@ -573,7 +599,8 @@ ShardDownlink decode_shard_down(std::string_view frame,
       }
     }
   }
-  const auto nt = read_pod<std::uint32_t>(is);
+  // Task: task, client, body, reduce key and the 32-byte Rng state.
+  const auto nt = read_count(is, 4 + 4 + 4 + 4 + 32, "ShardDown task");
   d.tasks.reserve(nt);
   for (std::uint32_t i = 0; i < nt; ++i) {
     DownlinkTask t;
@@ -683,7 +710,8 @@ void write_weight_delta(std::ostream& os, std::uint64_t base_version,
 WeightSet read_weight_delta(std::istream& is, const WeightSet& prev,
                             std::uint64_t& base_version) {
   base_version = read_pod<std::uint64_t>(is);
-  const auto n = read_pod<std::uint32_t>(is);
+  // Every section is at least its mode byte.
+  const auto n = read_count(is, 1, "weight-delta section");
   FT_CHECK_MSG(n == prev.size(),
                "weight-delta tensor count " << n
                    << " != previous model's " << prev.size());

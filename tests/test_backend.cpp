@@ -265,16 +265,20 @@ TEST(ConvBackend, RunnerRoundIdenticalAcrossThreadCounts) {
     ThreadPool::set_global_threads(threads);
     Rng rng(7);
     Model init(ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), rng);
-    FlRunConfig cfg;
+    SessionConfig cfg;
     cfg.rounds = 3;
     cfg.clients_per_round = 4;
     cfg.local.steps = 2;
     cfg.local.batch = 4;
     cfg.eval_every = 1;
     cfg.seed = 13;
-    FedAvgRunner runner(init, data, backend_fleet(data.num_clients()), cfg);
+    FederationEngine runner(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data,
+        backend_fleet(data.num_clients()), cfg);
     runner.run();
-    return std::make_pair(runner.history(), runner.model().weights());
+    return std::make_pair(
+        runner.history(),
+        runner.strategy_as<FedAvgStrategy>().model().weights());
   };
   auto [hist1, w1] = run(1);
   auto [hist4, w4] = run(4);
@@ -303,11 +307,14 @@ TEST(ConvBackend, TrainerRoundIdenticalAcrossThreadCounts) {
     cfg.local.batch = 4;
     cfg.seed = 19;
     cfg.max_models = 2;
-    FedTransTrainer trainer(
-        ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), data,
-        backend_fleet(data.num_clients()), cfg);
+    FederationEngine trainer(
+        std::make_unique<FedTransStrategy>(
+            ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), cfg),
+        data, backend_fleet(data.num_clients()), cfg);
     trainer.run();
-    return std::make_pair(trainer.history(), trainer.model(0).weights());
+    return std::make_pair(
+        trainer.history(),
+        trainer.strategy_as<FedTransStrategy>().model(0).weights());
   };
   auto [hist1, w1] = run(1);
   auto [hist4, w4] = run(4);

@@ -1,13 +1,15 @@
-// Checkpoint/resume tests: a restored FedTransTrainer must continue
+// Checkpoint/resume tests: a restored FedTrans engine must continue
 // bit-identically to an uninterrupted run — weights, utilities, costs,
 // round history, RNG trajectory and the transformation schedule.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "core/trainer.hpp"
+#include "fl/runner.hpp"
 #include "test_util.hpp"
 
 namespace fedtrans {
@@ -53,9 +55,11 @@ FedTransConfig fast_cfg() {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-void expect_same_state(FedTransTrainer& a, FedTransTrainer& b) {
+void expect_same_state(FederationEngine& ea, FederationEngine& eb) {
+  auto& a = ea.strategy_as<FedTransStrategy>();
+  auto& b = eb.strategy_as<FedTransStrategy>();
   ASSERT_EQ(a.num_models(), b.num_models());
-  EXPECT_EQ(a.rounds_done(), b.rounds_done());
+  EXPECT_EQ(ea.rounds_done(), eb.rounds_done());
   EXPECT_EQ(a.transforms_done(), b.transforms_done());
   for (int k = 0; k < a.num_models(); ++k) {
     EXPECT_EQ(a.model(k).spec(), b.model(k).spec()) << "model " << k;
@@ -73,27 +77,31 @@ void expect_same_state(FedTransTrainer& a, FedTransTrainer& b) {
     for (int k = 0; k < a.num_models(); ++k)
       EXPECT_EQ(cma.utility(c, k), cmb.utility(c, k))
           << "client " << c << " model " << k;
-  EXPECT_EQ(a.costs().total_macs(), b.costs().total_macs());
-  EXPECT_EQ(a.costs().network_bytes(), b.costs().network_bytes());
-  EXPECT_EQ(a.costs().storage_bytes(), b.costs().storage_bytes());
-  ASSERT_EQ(a.history().size(), b.history().size());
-  for (std::size_t i = 0; i < a.history().size(); ++i) {
-    EXPECT_EQ(a.history()[i].avg_loss, b.history()[i].avg_loss) << i;
-    EXPECT_EQ(a.history()[i].cum_macs, b.history()[i].cum_macs) << i;
+  EXPECT_EQ(ea.costs().total_macs(), eb.costs().total_macs());
+  EXPECT_EQ(ea.costs().network_bytes(), eb.costs().network_bytes());
+  EXPECT_EQ(ea.costs().storage_bytes(), eb.costs().storage_bytes());
+  ASSERT_EQ(ea.history().size(), eb.history().size());
+  for (std::size_t i = 0; i < ea.history().size(); ++i) {
+    EXPECT_EQ(ea.history()[i].avg_loss, eb.history()[i].avg_loss) << i;
+    EXPECT_EQ(ea.history()[i].cum_macs, eb.history()[i].cum_macs) << i;
   }
 }
 
 TEST(CheckpointTest, RoundTripRestoresIdenticalState) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   for (int r = 0; r < 6; ++r) a.run_round();
 
   std::stringstream ss;
-  a.save_checkpoint(ss);
+  save_checkpoint(a, ss);
 
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
-  b.load_checkpoint(ss);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  load_checkpoint(b, ss);
   expect_same_state(a, b);
 }
 
@@ -102,15 +110,19 @@ TEST(CheckpointTest, ResumedRunReplaysBitIdentically) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
 
   // Uninterrupted reference: 6 + 6 rounds.
-  FedTransTrainer ref(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine ref(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   for (int r = 0; r < 6; ++r) ref.run_round();
   std::stringstream ss;
-  ref.save_checkpoint(ss);
+  save_checkpoint(ref, ss);
   for (int r = 0; r < 6; ++r) ref.run_round();
 
   // Interrupted run: restore at round 6, then the same 6 more rounds.
-  FedTransTrainer resumed(tiny_model(), data, fleet, fast_cfg());
-  resumed.load_checkpoint(ss);
+  FederationEngine resumed(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  load_checkpoint(resumed, ss);
   EXPECT_EQ(resumed.rounds_done(), 6);
   for (int r = 0; r < 6; ++r) resumed.run_round();
 
@@ -124,17 +136,21 @@ TEST(CheckpointTest, ResumeContinuesTransformationSchedule) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
 
-  FedTransTrainer ref(tiny_model(), data, fleet, cfg);
+  FederationEngine ref(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans = ref.strategy_as<FedTransStrategy>();
   ref.run_round();
   ref.run_round();
-  ASSERT_EQ(ref.num_models(), 1) << "transform fired earlier than expected";
+  ASSERT_EQ(fedtrans.num_models(), 1)
+      << "transform fired earlier than expected";
   std::stringstream ss;
-  ref.save_checkpoint(ss);
+  save_checkpoint(ref, ss);
   for (int r = 2; r < cfg.rounds; ++r) ref.run_round();
-  ASSERT_GE(ref.num_models(), 2);
+  ASSERT_GE(fedtrans.num_models(), 2);
 
-  FedTransTrainer resumed(tiny_model(), data, fleet, cfg);
-  resumed.load_checkpoint(ss);
+  FederationEngine resumed(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  load_checkpoint(resumed, ss);
   for (int r = 2; r < cfg.rounds; ++r) resumed.run_round();
   expect_same_state(ref, resumed);
 }
@@ -142,76 +158,123 @@ TEST(CheckpointTest, ResumeContinuesTransformationSchedule) {
 TEST(CheckpointTest, FileRoundTrip) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   for (int r = 0; r < 4; ++r) a.run_round();
   const std::string path = ::testing::TempDir() + "/fedtrans_ckpt.bin";
-  a.save_checkpoint_file(path);
+  {
+    std::ofstream os(path, std::ios::binary);
+    save_checkpoint(a, os);
+  }
 
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
-  b.load_checkpoint_file(path);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  std::ifstream is(path, std::ios::binary);
+  load_checkpoint(b, is);
   expect_same_state(a, b);
+}
+
+TEST(CheckpointTest, RejectsEnginesNotRunningFedTrans) {
+  // Only FedTrans has a checkpoint format: saving or loading any other
+  // strategy's engine fails loudly instead of writing or reading garbage.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  Rng rng(3);
+  FederationEngine fedavg(
+      std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                       FedAvgOptions{}),
+      data, fleet, fast_cfg());
+  std::stringstream ss;
+  EXPECT_THROW(save_checkpoint(fedavg, ss), Error);
+  EXPECT_TRUE(ss.str().empty()) << "nothing may be written on refusal";
+
+  FederationEngine fedtrans(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  save_checkpoint(fedtrans, ss);
+  EXPECT_THROW(load_checkpoint(fedavg, ss), Error);
 }
 
 TEST(CheckpointTest, RejectsGarbageMagic) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer t(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine t(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   std::stringstream ss;
   ss << "not a checkpoint at all";
-  EXPECT_THROW(t.load_checkpoint(ss), Error);
+  EXPECT_THROW(load_checkpoint(t, ss), Error);
 }
 
 TEST(CheckpointTest, RejectsTruncatedStream) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   for (int r = 0; r < 3; ++r) a.run_round();
   std::stringstream ss;
-  a.save_checkpoint(ss);
+  save_checkpoint(a, ss);
   const std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
-  EXPECT_THROW(b.load_checkpoint(cut), Error);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  EXPECT_THROW(load_checkpoint(b, cut), Error);
 }
 
 TEST(CheckpointTest, RejectsMismatchedSeed) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   a.run_round();
   std::stringstream ss;
-  a.save_checkpoint(ss);
+  save_checkpoint(a, ss);
 
   auto other = fast_cfg();
   other.seed = 1234;
-  FedTransTrainer b(tiny_model(), data, fleet, other);
-  EXPECT_THROW(b.load_checkpoint(ss), Error);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), other), data, fleet,
+      other);
+  EXPECT_THROW(load_checkpoint(b, ss), Error);
 }
 
 TEST(CheckpointTest, RejectsMismatchedFleet) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   a.run_round();
   std::stringstream ss;
-  a.save_checkpoint(ss);
+  save_checkpoint(a, ss);
 
   auto small = FederatedDataset::generate(tiny_data(6));
   auto small_fleet = fleet_with_capacity(6, 5e6);
-  FedTransTrainer b(tiny_model(), small, small_fleet, fast_cfg());
-  EXPECT_THROW(b.load_checkpoint(ss), Error);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), small,
+      small_fleet, fast_cfg());
+  EXPECT_THROW(load_checkpoint(b, ss), Error);
 }
 
 TEST(CheckpointTest, MidTrainingEvaluationUnaffectedBySaving) {
   // Saving is a read-only operation: run → save → run must equal run → run.
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   for (int r = 0; r < 3; ++r) {
     a.run_round();
     std::stringstream ss;
-    a.save_checkpoint(ss);  // interleaved saves
+    save_checkpoint(a, ss);  // interleaved saves
     b.run_round();
   }
   expect_same_state(a, b);
@@ -225,12 +288,14 @@ TEST(ScalingPolicyTest, WidenOnlyNeverDeepens) {
   auto cfg = fast_cfg();
   cfg.scaling_policy = ScalingPolicy::WidenOnly;
   cfg.max_models = 4;
-  FedTransTrainer t(tiny_model(), data, fleet, cfg);
+  FederationEngine t(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans = t.strategy_as<FedTransStrategy>();
   t.run();
-  ASSERT_GE(t.num_models(), 2);
-  const auto n_cells0 = t.model(0).spec().cells.size();
-  for (int k = 1; k < t.num_models(); ++k)
-    EXPECT_EQ(t.model(k).spec().cells.size(), n_cells0)
+  ASSERT_GE(fedtrans.num_models(), 2);
+  const auto n_cells0 = fedtrans.model(0).spec().cells.size();
+  for (int k = 1; k < fedtrans.num_models(); ++k)
+    EXPECT_EQ(fedtrans.model(k).spec().cells.size(), n_cells0)
         << "widen-only must not insert cells";
 }
 
@@ -240,14 +305,16 @@ TEST(ScalingPolicyTest, DeepenOnlyNeverWidens) {
   auto cfg = fast_cfg();
   cfg.scaling_policy = ScalingPolicy::DeepenOnly;
   cfg.max_models = 4;
-  FedTransTrainer t(tiny_model(), data, fleet, cfg);
+  FederationEngine t(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans = t.strategy_as<FedTransStrategy>();
   t.run();
-  ASSERT_GE(t.num_models(), 2);
+  ASSERT_GE(fedtrans.num_models(), 2);
   // Widths of surviving (lineage-matched) cells never change; depth grows.
-  for (int k = 1; k < t.num_models(); ++k) {
-    EXPECT_GT(t.model(k).spec().cells.size(),
-              t.model(k - 1).spec().cells.size());
-    for (const auto& cell : t.model(k).spec().cells)
+  for (int k = 1; k < fedtrans.num_models(); ++k) {
+    EXPECT_GT(fedtrans.model(k).spec().cells.size(),
+              fedtrans.model(k - 1).spec().cells.size());
+    for (const auto& cell : fedtrans.model(k).spec().cells)
       EXPECT_TRUE(cell.width == 6 || cell.width == 8)
           << "deepen-only must keep the original widths";
   }
@@ -259,17 +326,19 @@ TEST(ScalingPolicyTest, CompoundAlternatesOperations) {
   auto cfg = fast_cfg();
   cfg.scaling_policy = ScalingPolicy::Compound;
   cfg.max_models = 4;
-  FedTransTrainer t(tiny_model(), data, fleet, cfg);
+  FederationEngine t(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans = t.strategy_as<FedTransStrategy>();
   t.run();
-  ASSERT_GE(t.num_models(), 3);
+  ASSERT_GE(fedtrans.num_models(), 3);
   // Generation 1 widens (fresh cells start un-widened); a later generation
   // must have inserted at least one cell (the deepen half of the cycle).
   bool saw_width_growth = false, saw_depth_growth = false;
-  for (int k = 1; k < t.num_models(); ++k) {
-    if (t.model(k).spec().cells.size() >
-        t.model(k - 1).spec().cells.size())
+  for (int k = 1; k < fedtrans.num_models(); ++k) {
+    if (fedtrans.model(k).spec().cells.size() >
+        fedtrans.model(k - 1).spec().cells.size())
       saw_depth_growth = true;
-    for (const auto& cell : t.model(k).spec().cells)
+    for (const auto& cell : fedtrans.model(k).spec().cells)
       if (cell.width > 8) saw_width_growth = true;
   }
   EXPECT_TRUE(saw_width_growth);

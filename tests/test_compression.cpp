@@ -1,5 +1,5 @@
 // Tests for uplink delta compression: top-k sparsification, uniform
-// quantization, error feedback, and the FedAvgRunner integration (network
+// quantization, error feedback, and the FedAvgStrategy integration (network
 // accounting + accuracy under compression).
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/stats.hpp"
 #include "fl/compression.hpp"
 #include "fl/runner.hpp"
 #include "test_util.hpp"
@@ -297,24 +298,27 @@ std::vector<DeviceProfile> tiny_fleet(int n) {
   return sample_fleet(cfg);
 }
 
-TEST(CompressedRunnerTest, TopKSlashesUplinkBytes) {
+TEST(CompressedFedAvgTest, TopKSlashesUplinkBytes) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients());
   Rng rng(21);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6, 8}), rng);
 
-  FlRunConfig dense_cfg;
+  SessionConfig dense_cfg;
   dense_cfg.rounds = 4;
   dense_cfg.clients_per_round = 4;
   dense_cfg.local.steps = 2;
   dense_cfg.local.batch = 6;
-  FedAvgRunner dense(init, data, fleet, dense_cfg);
+  FederationEngine dense(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      dense_cfg);
   dense.run();
 
-  FlRunConfig comp_cfg = dense_cfg;
-  comp_cfg.compression = CompressionKind::TopK;
-  comp_cfg.topk_ratio = 0.05;
-  FedAvgRunner compressed(init, data, fleet, comp_cfg);
+  FedAvgOptions topk;
+  topk.compression = CompressionKind::TopK;
+  topk.topk_ratio = 0.05;
+  FederationEngine compressed(
+      std::make_unique<FedAvgStrategy>(init, topk), data, fleet, dense_cfg);
   compressed.run();
 
   EXPECT_LT(compressed.costs().network_bytes(),
@@ -322,43 +326,49 @@ TEST(CompressedRunnerTest, TopKSlashesUplinkBytes) {
       << "5% top-k should cut total transfer substantially";
 }
 
-TEST(CompressedRunnerTest, QuantizedTrainingStillLearns) {
+TEST(CompressedFedAvgTest, QuantizedTrainingStillLearns) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients());
   Rng rng(22);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6, 8}), rng);
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 20;
   cfg.clients_per_round = 5;
   cfg.local.steps = 6;
   cfg.local.batch = 8;
-  cfg.compression = CompressionKind::Quant8;
-  FedAvgRunner runner(init, data, fleet, cfg);
-  FedAvgRunner probe(init, data, fleet, cfg);
-  const double acc0 = probe.mean_client_accuracy();
+  FedAvgOptions quant;
+  quant.compression = CompressionKind::Quant8;
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, quant), data, fleet, cfg);
+  FederationEngine probe(
+      std::make_unique<FedAvgStrategy>(init, quant), data, fleet, cfg);
+  const double acc0 = mean(probe.client_accuracy());
   runner.run();
-  EXPECT_GT(runner.mean_client_accuracy(), acc0 + 0.15);
+  EXPECT_GT(mean(runner.client_accuracy()), acc0 + 0.15);
 }
 
-TEST(CompressedRunnerTest, ErrorFeedbackImprovesAggressiveTopK) {
+TEST(CompressedFedAvgTest, ErrorFeedbackImprovesAggressiveTopK) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients());
   Rng rng(23);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6, 8}), rng);
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 25;
   cfg.clients_per_round = 5;
   cfg.local.steps = 6;
   cfg.local.batch = 8;
-  cfg.compression = CompressionKind::TopK;
-  cfg.topk_ratio = 0.02;  // aggressive: 2% of coordinates per round
+  FedAvgOptions topk;
+  topk.compression = CompressionKind::TopK;
+  topk.topk_ratio = 0.02;  // aggressive: 2% of coordinates per round
 
-  FedAvgRunner without(init, data, fleet, cfg);
+  FederationEngine without(
+      std::make_unique<FedAvgStrategy>(init, topk), data, fleet, cfg);
   without.run();
-  cfg.error_feedback = true;
-  FedAvgRunner with(init, data, fleet, cfg);
+  topk.error_feedback = true;
+  FederationEngine with(
+      std::make_unique<FedAvgStrategy>(init, topk), data, fleet, cfg);
   with.run();
 
   // EF must not hurt, and final train loss should improve (accuracy at this

@@ -15,11 +15,18 @@
 // within 1e-5 relative tolerance, keeps metrics/billing bitwise, and is
 // bitwise self-consistent across thread counts (and across shard counts
 // with singleton leaves); (8) dead leaves fail over to siblings with the
-// redirect billed and recorded.
+// redirect billed and recorded; (9) fault-free fabric rounds of the
+// multi-model strategies (HeteroFL, SplitMix, FedTrans) are bitwise
+// identical to in-process ones; (10) every client dropout is counted, on the
+// sync and on the async path.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "baselines/hetero_fl.hpp"
+#include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
 #include "fl/async.hpp"
@@ -54,8 +61,8 @@ std::vector<DeviceProfile> tiny_fleet(int n, std::uint64_t seed = 9) {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-FlRunConfig base_cfg(std::uint64_t seed) {
-  FlRunConfig cfg;
+SessionConfig base_cfg(std::uint64_t seed) {
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 4;
   cfg.local.steps = 3;
@@ -66,9 +73,9 @@ FlRunConfig base_cfg(std::uint64_t seed) {
   return cfg;
 }
 
-void expect_identical(FedAvgRunner& a, FedAvgRunner& b) {
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+void expect_identical(FederationEngine& a, FederationEngine& b) {
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -102,13 +109,17 @@ TEST(FabricParityTest, FaultFreeFabricMatchesInProcessBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig in_proc = base_cfg(seed);
-      FedAvgRunner a(init, data, fleet, in_proc);
+      SessionConfig in_proc = base_cfg(seed);
+      FederationEngine a(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          in_proc);
       a.run();
 
-      FlRunConfig on_fabric = base_cfg(seed);
+      SessionConfig on_fabric = base_cfg(seed);
       on_fabric.use_fabric = true;
-      FedAvgRunner b(init, data, fleet, on_fabric);
+      FederationEngine b(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          on_fabric);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
@@ -129,15 +140,18 @@ TEST(FabricParityTest, FabricWithStragglerPolicyMatchesInProcess) {
   Rng rng(5);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(21);
-  cfg.overcommit = 0.5;
-  cfg.deadline_quantile = 0.7;  // deadline-trim the straggler tail
-  FedAvgRunner a(init, data, fleet, cfg);
+  SessionConfig cfg = base_cfg(21);
+  FedAvgOptions opts;
+  opts.overcommit = 0.5;
+  opts.deadline_quantile = 0.7;  // deadline-trim the straggler tail
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, opts), data, fleet, cfg);
   a.run();
 
-  FlRunConfig fab = cfg;
+  SessionConfig fab = cfg;
   fab.use_fabric = true;
-  FedAvgRunner b(init, data, fleet, fab);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, opts), data, fleet, fab);
   b.run();
   expect_identical(a, b);
   // With over-selection some rounds must actually drop stragglers.
@@ -146,26 +160,131 @@ TEST(FabricParityTest, FabricWithStragglerPolicyMatchesInProcess) {
   EXPECT_GT(lost, 0);
 }
 
+// Fabric parity beyond FedAvg: heterogeneous submodels (HeteroFL), several
+// tasks per client (SplitMix: the wire's per-task slots) and a growing
+// model family (FedTrans: members shipped spec + weights) all ride the wire
+// bit-exactly.
+
+std::vector<DeviceProfile> capacity_fleet(int n, double macs) {
+  FleetConfig cfg;
+  cfg.num_devices = n;
+  cfg.sigma_compute = 0.8;
+  cfg.seed = 6;
+  cfg.with_median_capacity(macs);
+  return sample_fleet(cfg);
+}
+
+TEST(FabricParityTest, MultiModelStrategiesMatchInProcessBitwise) {
+  FedTransConfig fedtrans;
+  fedtrans.gamma = 2;
+  fedtrans.doc_delta = 2;
+  fedtrans.beta = 10.0;  // force transformation
+  fedtrans.act_window = 2;
+  fedtrans.max_models = 3;
+  struct Case {
+    const char* name;
+    double capacity;
+    int rounds;
+    std::function<std::unique_ptr<Strategy>()> make;
+    std::function<WeightSet(FederationEngine&)> weights;
+  };
+  const Case cases[] = {
+      {"heterofl", 1e6, 3,
+       [] { return std::make_unique<HeteroFLStrategy>(tiny_model()); },
+       [](FederationEngine& e) {
+         return e.strategy_as<HeteroFLStrategy>().global().weights();
+       }},
+      {"splitmix", 1e7, 3,
+       [] { return std::make_unique<SplitMixStrategy>(tiny_model(), 4); },
+       [](FederationEngine& e) {
+         auto& splitmix = e.strategy_as<SplitMixStrategy>();
+         WeightSet all;
+         for (int b = 0; b < splitmix.num_bases(); ++b)
+           for (Tensor& t : splitmix.base(b).weights())
+             all.push_back(std::move(t));
+         return all;
+       }},
+      {"fedtrans", 5e6, 6,
+       [&] {
+         return std::make_unique<FedTransStrategy>(tiny_model(), fedtrans);
+       },
+       [](FederationEngine& e) {
+         auto& family = e.strategy_as<FedTransStrategy>();
+         EXPECT_GE(family.num_models(), 2) << "transformation should fire";
+         WeightSet all;
+         for (int k = 0; k < family.num_models(); ++k)
+           for (Tensor& t : family.model(k).weights())
+             all.push_back(std::move(t));
+         return all;
+       }},
+  };
+  auto data = FederatedDataset::generate(tiny_data(10));
+  const int prev_threads = ThreadPool::global().size();
+  for (const Case& c : cases) {
+    auto fleet = capacity_fleet(data.num_clients(), c.capacity);
+    for (std::uint64_t seed : {7ULL, 19ULL}) {
+      for (int threads : {1, 4}) {
+        ThreadPool::set_global_threads(threads);
+        SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed) +
+                     " threads " + std::to_string(threads));
+        SessionConfig cfg = base_cfg(seed);
+        cfg.rounds = c.rounds;
+        FederationEngine a(c.make(), data, fleet, cfg);
+        cfg.use_fabric = true;
+        FederationEngine b(c.make(), data, fleet, cfg);
+        a.run();
+        b.run();
+        ASSERT_NE(b.fabric(), nullptr);
+        EXPECT_EQ(b.fabric()->stats().frames_dropped.load(), 0u);
+        EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u)
+            << "undecodable frames on a clean transport mean a codec bug";
+        const WeightSet wa = c.weights(a);
+        const WeightSet wb = c.weights(b);
+        ASSERT_EQ(wa.size(), wb.size());
+        for (std::size_t i = 0; i < wa.size(); ++i)
+          EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
+              << "tensor " << i;
+        ASSERT_EQ(a.history().size(), b.history().size());
+        for (std::size_t r = 0; r < a.history().size(); ++r) {
+          EXPECT_EQ(a.history()[r].avg_loss, b.history()[r].avg_loss) << r;
+          EXPECT_EQ(a.history()[r].cum_macs, b.history()[r].cum_macs) << r;
+          EXPECT_EQ(a.history()[r].round_time_s, b.history()[r].round_time_s)
+              << r;
+          EXPECT_EQ(a.history()[r].accuracy, b.history()[r].accuracy) << r;
+          EXPECT_EQ(a.history()[r].participants, b.history()[r].participants)
+              << r;
+        }
+        EXPECT_EQ(a.costs().total_macs(), b.costs().total_macs());
+        EXPECT_EQ(a.costs().network_bytes(), b.costs().network_bytes());
+        EXPECT_EQ(a.costs().storage_bytes(), b.costs().storage_bytes());
+      }
+    }
+  }
+  ThreadPool::set_global_threads(prev_threads);
+}
+
 TEST(FabricFaultTest, RoundsTerminateAndLossesAreAccounted) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients());
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 5;
   cfg.eval_every = 0;
-  cfg.overcommit = 0.4;
-  cfg.deadline_quantile = 0.8;
   cfg.use_fabric = true;
   cfg.fabric_faults.drop_prob = 0.25;
   cfg.fabric_faults.dup_prob = 0.15;
   cfg.fabric_faults.reorder_prob = 0.2;
   cfg.fabric_faults.dropout_prob = 0.25;
   cfg.fabric_faults.seed = 1234;
+  FedAvgOptions opts;
+  opts.overcommit = 0.4;
+  opts.deadline_quantile = 0.8;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, opts), data, fleet, cfg);
   runner.run();  // must terminate despite lost invitations/models/updates
 
   ASSERT_EQ(runner.history().size(), static_cast<std::size_t>(cfg.rounds));
@@ -183,7 +302,8 @@ TEST(FabricFaultTest, RoundsTerminateAndLossesAreAccounted) {
   // update moved the model down and up (2 × model bytes, no compression);
   // each lost update still burned its downlink.
   const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+      static_cast<double>(
+          runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   EXPECT_NEAR(runner.costs().network_bytes(),
               model_bytes * (2.0 * participants + lost), 1.0);
 
@@ -200,6 +320,35 @@ TEST(FabricFaultTest, RoundsTerminateAndLossesAreAccounted) {
   EXPECT_EQ(stats.frames_rejected.load(), 0u);
 }
 
+TEST(FabricFaultTest, HeteroFLRoundsTerminateAndLossesAreAccounted) {
+  auto data = FederatedDataset::generate(tiny_data(10));
+  auto fleet = capacity_fleet(data.num_clients(), 1e6);
+  SessionConfig cfg = base_cfg(3);
+  cfg.rounds = 5;
+  cfg.clients_per_round = 5;
+  cfg.eval_every = 0;
+  cfg.use_fabric = true;
+  cfg.fabric_faults.drop_prob = 0.25;
+  cfg.fabric_faults.dropout_prob = 0.25;
+  cfg.fabric_faults.seed = 99;
+
+  FederationEngine engine(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  engine.run();  // must terminate despite losses
+
+  ASSERT_EQ(engine.history().size(), static_cast<std::size_t>(cfg.rounds));
+  int participants = 0, lost = 0;
+  for (const auto& rec : engine.history()) {
+    participants += rec.participants;
+    lost += rec.lost_updates;
+  }
+  EXPECT_GT(participants, 0) << "some updates must still get through";
+  EXPECT_GT(lost, 0) << "heavy fault injection must lose some updates";
+  ASSERT_NE(engine.fabric(), nullptr);
+  EXPECT_GT(engine.fabric()->stats().frames_dropped.load(), 0u);
+  EXPECT_EQ(engine.fabric()->stats().frames_rejected.load(), 0u);
+}
+
 TEST(FabricFaultTest, FaultRunsAreDeterministicAcrossThreadCounts) {
   auto data = FederatedDataset::generate(tiny_data(8));
   auto fleet = tiny_fleet(8);
@@ -207,17 +356,21 @@ TEST(FabricFaultTest, FaultRunsAreDeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(13);
+  SessionConfig cfg = base_cfg(13);
   cfg.eval_every = 0;
   cfg.use_fabric = true;
   cfg.fabric_faults.drop_prob = 0.3;
   cfg.fabric_faults.dropout_prob = 0.2;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
@@ -329,16 +482,20 @@ TEST(ShardedParityTest, FedAvgShardedMatchesFlatBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig flat = base_cfg(seed);
+      SessionConfig flat = base_cfg(seed);
       flat.use_fabric = true;
-      FedAvgRunner a(init, data, fleet, flat);
+      FederationEngine a(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          flat);
       a.run();
 
-      FlRunConfig sharded = base_cfg(seed);
+      SessionConfig sharded = base_cfg(seed);
       sharded.use_fabric = true;
       sharded.topology.levels = 2;
       sharded.topology.shards = 3;
-      FedAvgRunner b(init, data, fleet, sharded);
+      FederationEngine b(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          sharded);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
@@ -363,16 +520,20 @@ TEST(ShardedParityTest, ShardCountSweepAllMatchInProcess) {
   Rng rng(9);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(5);
-  FedAvgRunner ref(init, data, fleet, cfg);
+  SessionConfig cfg = base_cfg(5);
+  FederationEngine ref(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   ref.run();
 
   for (int shards : {1, 2, 4}) {
-    FlRunConfig sh = base_cfg(5);
+    SessionConfig sh = base_cfg(5);
     sh.use_fabric = true;
     sh.topology.levels = 2;
     sh.topology.shards = shards;
-    FedAvgRunner b(init, data, fleet, sh);
+    FederationEngine b(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        sh);
     b.run();
     expect_identical(ref, b);
   }
@@ -401,18 +562,25 @@ TEST(ShardedParityTest, FedTransShardedMatchesFlatBitwise) {
       cfg.seed = seed;
       cfg.use_fabric = true;
 
-      FedTransTrainer a(tiny_model(), data, fleet, cfg);
+      FederationEngine a(
+          std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet,
+          cfg);
+      auto& fedtrans_a = a.strategy_as<FedTransStrategy>();
       cfg.topology.levels = 2;
       cfg.topology.shards = 2;
-      FedTransTrainer b(tiny_model(), data, fleet, cfg);
+      FederationEngine b(
+          std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet,
+          cfg);
+      auto& fedtrans_b = b.strategy_as<FedTransStrategy>();
       a.run();
       b.run();
 
-      ASSERT_EQ(a.num_models(), b.num_models());
-      EXPECT_GE(a.num_models(), 2) << "transformation should have fired";
-      for (int k = 0; k < a.num_models(); ++k) {
-        auto wa = a.model(k).weights();
-        auto wb = b.model(k).weights();
+      ASSERT_EQ(fedtrans_a.num_models(), fedtrans_b.num_models());
+      EXPECT_GE(fedtrans_a.num_models(), 2)
+      << "transformation should have fired";
+      for (int k = 0; k < fedtrans_a.num_models(); ++k) {
+        auto wa = fedtrans_a.model(k).weights();
+        auto wb = fedtrans_b.model(k).weights();
         ASSERT_EQ(wa.size(), wb.size());
         for (std::size_t i = 0; i < wa.size(); ++i)
           EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
@@ -439,7 +607,7 @@ TEST(ShardedParityTest, HeteroFLShardedMatchesFlatBitwise) {
   for (std::uint64_t seed : {7ULL, 19ULL}) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
-      BaselineConfig cfg;
+      SessionConfig cfg;
       cfg.rounds = 4;
       cfg.clients_per_round = 5;
       cfg.local.steps = 3;
@@ -449,27 +617,29 @@ TEST(ShardedParityTest, HeteroFLShardedMatchesFlatBitwise) {
       cfg.seed = seed;
       cfg.use_fabric = true;
 
-      HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+      FederationEngine a(
+          std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
       cfg.topology.levels = 2;
       cfg.topology.shards = 3;
-      HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+      FederationEngine b(
+          std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
       a.run();
       b.run();
 
-      auto wa = a.global().weights();
-      auto wb = b.global().weights();
+      auto wa = a.strategy_as<HeteroFLStrategy>().global().weights();
+      auto wb = b.strategy_as<HeteroFLStrategy>().global().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
-      ASSERT_EQ(a.engine().history().size(), b.engine().history().size());
-      for (std::size_t r = 0; r < a.engine().history().size(); ++r) {
-        EXPECT_EQ(a.engine().history()[r].avg_loss,
-                  b.engine().history()[r].avg_loss);
-        EXPECT_EQ(a.engine().history()[r].accuracy,
-                  b.engine().history()[r].accuracy);
+      ASSERT_EQ(a.history().size(), b.history().size());
+      for (std::size_t r = 0; r < a.history().size(); ++r) {
+        EXPECT_EQ(a.history()[r].avg_loss,
+                  b.history()[r].avg_loss);
+        EXPECT_EQ(a.history()[r].accuracy,
+                  b.history()[r].accuracy);
       }
-      EXPECT_EQ(a.engine().costs().network_bytes(),
-                b.engine().costs().network_bytes());
+      EXPECT_EQ(a.costs().network_bytes(),
+                b.costs().network_bytes());
     }
   }
   ThreadPool::set_global_threads(prev_threads);
@@ -482,7 +652,7 @@ TEST(ShardedFaultTest, ShardedFaultRunsTerminateDeterministically) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -495,10 +665,14 @@ TEST(ShardedFaultTest, ShardedFaultRunsTerminateDeterministically) {
   cfg.fabric_faults.seed = 321;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
@@ -522,7 +696,7 @@ TEST(ShardedFaultTest, ShardedRetriesRecoverBundlesAndReconcileBilling) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 6;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -534,7 +708,9 @@ TEST(ShardedFaultTest, ShardedRetriesRecoverBundlesAndReconcileBilling) {
   cfg.fabric_faults.drop_prob = 0.3;
   cfg.fabric_faults.seed = 42;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();
 
   ASSERT_EQ(runner.history().size(), 6u);
@@ -550,7 +726,8 @@ TEST(ShardedFaultTest, ShardedRetriesRecoverBundlesAndReconcileBilling) {
   EXPECT_GT(stats.retry_bytes_down.load(), 0u)
       << "a 30% drop rate over 18 ShardDown bundles must lose at least one";
   const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+      static_cast<double>(
+          runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double retry_bytes =
       static_cast<double>(stats.retry_bytes_down.load()) +
       static_cast<double>(stats.retry_bytes_up.load());
@@ -569,7 +746,7 @@ TEST(RetryPolicyTest, DroppedUpdatesAreResentWithinBudget) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 4;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -577,12 +754,16 @@ TEST(RetryPolicyTest, DroppedUpdatesAreResentWithinBudget) {
   cfg.fabric_faults.drop_prob = 0.25;
   cfg.fabric_faults.seed = 77;
 
-  FedAvgRunner no_retry(init, data, fleet, cfg);
+  FederationEngine no_retry(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   no_retry.run();
 
   cfg.topology.max_retries = 3;
   cfg.topology.ack_timeout_s = 5.0;
-  FedAvgRunner with_retry(init, data, fleet, cfg);
+  FederationEngine with_retry(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   with_retry.run();
 
   int p0 = 0, p1 = 0, lost1 = 0;
@@ -602,7 +783,8 @@ TEST(RetryPolicyTest, DroppedUpdatesAreResentWithinBudget) {
   // lost update spent its downlink, and every resend attempt is billed on
   // top — exactly the transport's retry byte counters.
   const double model_bytes =
-      static_cast<double>(with_retry.model().param_bytes());
+      static_cast<double>(
+          with_retry.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double retry_bytes =
       static_cast<double>(stats.retry_bytes_down.load()) +
       static_cast<double>(stats.retry_bytes_up.load());
@@ -617,7 +799,7 @@ TEST(RetryPolicyTest, ExhaustedRetriesCountAsLostUpdates) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -627,7 +809,9 @@ TEST(RetryPolicyTest, ExhaustedRetriesCountAsLostUpdates) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 5.0;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();
 
   ASSERT_EQ(runner.history().size(), 5u);
@@ -638,7 +822,9 @@ TEST(RetryPolicyTest, ExhaustedRetriesCountAsLostUpdates) {
   EXPECT_GT(runner.fabric()->stats().frames_retried.load(), 0u);
 
   // Determinism: the same faulty retry run replays bit-identically.
-  FedAvgRunner again(init, data, fleet, cfg);
+  FederationEngine again(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   again.run();
   expect_identical(runner, again);
 }
@@ -654,10 +840,11 @@ TEST(AsyncFabricTest, FaultFreeSessionCompletesWithDeliveryOrdering) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.eval_every = 3;
@@ -665,12 +852,14 @@ TEST(AsyncFabricTest, FaultFreeSessionCompletesWithDeliveryOrdering) {
   cfg.seed = 42;
   cfg.use_fabric = true;
 
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   runner.run();
 
-  EXPECT_EQ(runner.aggregations_done(), cfg.aggregations);
+  EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
   ASSERT_EQ(runner.history().size(),
-            static_cast<std::size_t>(cfg.aggregations));
+            static_cast<std::size_t>(cfg.async.aggregations));
   // Delivery-time completion ordering: versions ship at nondecreasing
   // simulated instants, and no update was lost on a clean transport.
   double prev = 0.0;
@@ -682,7 +871,7 @@ TEST(AsyncFabricTest, FaultFreeSessionCompletesWithDeliveryOrdering) {
   EXPECT_GT(runner.now_s(), 0.0);
   EXPECT_GE(runner.mean_staleness(), 0.0);
 
-  const FederationServer* fabric = runner.engine().fabric();
+  const FederationServer* fabric = runner.fabric();
   ASSERT_NE(fabric, nullptr);
   EXPECT_GT(fabric->stats().frames_sent.load(), 0u);
   EXPECT_EQ(fabric->stats().frames_dropped.load(), 0u);
@@ -702,26 +891,31 @@ TEST(AsyncFabricTest, DeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 5;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 5;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
   cfg.seed = 13;
   cfg.use_fabric = true;
 
   ThreadPool::set_global_threads(1);
-  FedBuffRunner a(init, data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedBuffRunner b(init, data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
   EXPECT_EQ(a.now_s(), b.now_s());
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto wa = a.strategy_as<FedBuffStrategy>().model().weights();
+  auto wb = b.strategy_as<FedBuffStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -736,10 +930,11 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
   cfg.seed = 7;
@@ -750,14 +945,16 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 30.0;
 
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   runner.run();  // must terminate: timeouts replace lost clients
 
-  EXPECT_EQ(runner.aggregations_done(), cfg.aggregations);
+  EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
   int lost = 0;
   for (const auto& rec : runner.history()) lost += rec.lost_updates;
   EXPECT_GT(lost, 0) << "heavy fault injection must lose some updates";
-  const FabricStats& stats = runner.engine().fabric()->stats();
+  const FabricStats& stats = runner.fabric()->stats();
   EXPECT_GT(stats.frames_dropped.load(), 0u);
   EXPECT_GT(stats.frames_retried.load(), 0u);
   EXPECT_EQ(stats.frames_rejected.load(), 0u);
@@ -766,12 +963,53 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   // attempt), so a resent update can actually land and be folded in —
   // the same session without a retry budget must lose strictly more.
   cfg.topology.max_retries = 0;
-  FedBuffRunner no_retry(init, data, fleet, cfg);
+  FederationEngine no_retry(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   no_retry.run();
   int lost0 = 0;
   for (const auto& rec : no_retry.history()) lost0 += rec.lost_updates;
   EXPECT_LT(lost, lost0)
       << "retries must recover updates the no-retry run times out on";
+}
+
+TEST(AsyncFabricTest, EveryDropoutIsCounted) {
+  // A client that trains and then vanishes is a Dropout outcome, and
+  // FabricStats::client_dropouts counts each one — on the async round
+  // trip as on the sync path.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(8);
+  Model proto(tiny_model(), rng);
+  LocalTrainConfig local;
+  local.steps = 2;
+  local.batch = 4;
+  FaultConfig faults;
+  faults.dropout_prob = 0.3;
+  faults.seed = 21;
+  FederationServer server(proto, data, fleet, local, faults,
+                          FabricTopology{});
+  const WeightSet global = proto.weights();
+  std::uint64_t dropouts = 0;
+  for (std::uint32_t job = 0; job < 30; ++job) {
+    Rng crng(100 + job);
+    const AsyncTurnaround turn = server.async_exchange(
+        job, static_cast<int>(job) % data.num_clients(), global, crng, 0.0);
+    if (turn.outcome == ClientOutcome::Dropout) ++dropouts;
+  }
+  EXPECT_GT(dropouts, 0u) << "a 0.3 dropout rate must drop someone in 30";
+  EXPECT_EQ(server.stats().client_dropouts.load(), dropouts);
+
+  std::vector<int> clients;
+  std::vector<Rng> rngs;
+  for (int c = 0; c < data.num_clients(); ++c) {
+    clients.push_back(c);
+    rngs.emplace_back(200 + static_cast<std::uint64_t>(c));
+  }
+  const ExchangeResult ex = server.run_round(1, global, clients, rngs);
+  for (ClientOutcome o : ex.outcomes)
+    if (o == ClientOutcome::Dropout) ++dropouts;
+  EXPECT_EQ(server.stats().client_dropouts.load(), dropouts);
 }
 
 // ---------------------------------------------------------------------------
@@ -808,26 +1046,41 @@ TEST(TopologyValidationTest, FlatPartialAggregationFailsAtConstruction) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(3);
+  SessionConfig cfg = base_cfg(3);
   cfg.use_fabric = true;
   cfg.topology.levels = 1;
   cfg.topology.partial_aggregation = true;
-  EXPECT_THROW(FedAvgRunner(init, data, fleet, cfg), Error);
+  EXPECT_THROW(
+      FederationEngine(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          cfg),
+      Error);
 
-  FlRunConfig bad_levels = base_cfg(3);
+  SessionConfig bad_levels = base_cfg(3);
   bad_levels.use_fabric = true;
   bad_levels.topology.levels = 7;
-  EXPECT_THROW(FedAvgRunner(init, data, fleet, bad_levels), Error);
+  EXPECT_THROW(
+      FederationEngine(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          bad_levels),
+      Error);
 
-  FlRunConfig bad_retries = base_cfg(3);
+  SessionConfig bad_retries = base_cfg(3);
   bad_retries.use_fabric = true;
   bad_retries.topology.ack_timeout_s = 0.0;
-  EXPECT_THROW(FedAvgRunner(init, data, fleet, bad_retries), Error);
+  EXPECT_THROW(
+      FederationEngine(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          bad_retries),
+      Error);
 
   // The topology is only consulted by fabric sessions.
-  FlRunConfig in_process = cfg;
+  SessionConfig in_process = cfg;
   in_process.use_fabric = false;
-  EXPECT_NO_THROW(FedAvgRunner(init, data, fleet, in_process));
+  EXPECT_NO_THROW(
+      FederationEngine(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          in_process));
 }
 
 // ---------------------------------------------------------------------------
@@ -846,16 +1099,20 @@ TEST(DeepTreeParityTest, FedAvgThreeLevelMatchesInProcessBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig in_proc = base_cfg(seed);
-      FedAvgRunner a(init, data, fleet, in_proc);
+      SessionConfig in_proc = base_cfg(seed);
+      FederationEngine a(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          in_proc);
       a.run();
 
-      FlRunConfig tree = base_cfg(seed);
+      SessionConfig tree = base_cfg(seed);
       tree.use_fabric = true;
       tree.topology.levels = 3;
       tree.topology.shards = 4;
       tree.topology.branching = 2;
-      FedAvgRunner b(init, data, fleet, tree);
+      FederationEngine b(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          tree);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
@@ -877,8 +1134,10 @@ TEST(DeepTreeParityTest, DepthAndBranchingSweepAllMatchInProcess) {
   Rng rng(9);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(5);
-  FedAvgRunner ref(init, data, fleet, cfg);
+  SessionConfig cfg = base_cfg(5);
+  FederationEngine ref(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   ref.run();
 
   struct Shape {
@@ -886,12 +1145,14 @@ TEST(DeepTreeParityTest, DepthAndBranchingSweepAllMatchInProcess) {
   };
   for (const Shape& s : {Shape{3, 4, 2}, Shape{3, 6, 3}, Shape{3, 5, 0},
                          Shape{4, 8, 2}, Shape{4, 3, 1}}) {
-    FlRunConfig tree = base_cfg(5);
+    SessionConfig tree = base_cfg(5);
     tree.use_fabric = true;
     tree.topology.levels = s.levels;
     tree.topology.shards = s.shards;
     tree.topology.branching = s.branching;
-    FedAvgRunner b(init, data, fleet, tree);
+    FederationEngine b(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        tree);
     b.run();
     expect_identical(ref, b);
     EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u)
@@ -920,18 +1181,24 @@ TEST(DeepTreeParityTest, FedTransThreeLevelMatchesFlatBitwise) {
       cfg.seed = seed;
       cfg.use_fabric = true;
 
-      FedTransTrainer a(tiny_model(), data, fleet, cfg);
+      FederationEngine a(
+          std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet,
+          cfg);
+      auto& fedtrans_a = a.strategy_as<FedTransStrategy>();
       cfg.topology.levels = 3;
       cfg.topology.shards = 4;
       cfg.topology.branching = 2;
-      FedTransTrainer b(tiny_model(), data, fleet, cfg);
+      FederationEngine b(
+          std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet,
+          cfg);
+      auto& fedtrans_b = b.strategy_as<FedTransStrategy>();
       a.run();
       b.run();
 
-      ASSERT_EQ(a.num_models(), b.num_models());
-      for (int k = 0; k < a.num_models(); ++k) {
-        auto wa = a.model(k).weights();
-        auto wb = b.model(k).weights();
+      ASSERT_EQ(fedtrans_a.num_models(), fedtrans_b.num_models());
+      for (int k = 0; k < fedtrans_a.num_models(); ++k) {
+        auto wa = fedtrans_a.model(k).weights();
+        auto wb = fedtrans_b.model(k).weights();
         ASSERT_EQ(wa.size(), wb.size());
         for (std::size_t i = 0; i < wa.size(); ++i)
           EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
@@ -951,7 +1218,7 @@ TEST(DeepTreeParityTest, HeteroFLThreeLevelMatchesFlatBitwise) {
   for (std::uint64_t seed : {7ULL, 19ULL}) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
-      BaselineConfig cfg;
+      SessionConfig cfg;
       cfg.rounds = 4;
       cfg.clients_per_round = 5;
       cfg.local.steps = 3;
@@ -961,21 +1228,23 @@ TEST(DeepTreeParityTest, HeteroFLThreeLevelMatchesFlatBitwise) {
       cfg.seed = seed;
       cfg.use_fabric = true;
 
-      HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+      FederationEngine a(
+          std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
       cfg.topology.levels = 3;
       cfg.topology.shards = 4;
       cfg.topology.branching = 2;
-      HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+      FederationEngine b(
+          std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
       a.run();
       b.run();
 
-      auto wa = a.global().weights();
-      auto wb = b.global().weights();
+      auto wa = a.strategy_as<HeteroFLStrategy>().global().weights();
+      auto wb = b.strategy_as<HeteroFLStrategy>().global().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
-      EXPECT_EQ(a.engine().costs().network_bytes(),
-                b.engine().costs().network_bytes());
+      EXPECT_EQ(a.costs().network_bytes(),
+                b.costs().network_bytes());
     }
   }
   ThreadPool::set_global_threads(prev_threads);
@@ -1006,22 +1275,30 @@ TEST(PartialAggregationTest, FedAvgNumericMatchesFlatWithinTolerance) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig flat = base_cfg(21);
+  SessionConfig flat = base_cfg(21);
   flat.rounds = 4;
   flat.clients_per_round = 6;
   flat.eval_every = 0;
-  FedAvgRunner a(init, data, fleet, flat);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      flat);
   a.run();
 
-  FlRunConfig numeric = flat;
+  SessionConfig numeric = flat;
   numeric.use_fabric = true;
   numeric.topology.levels = 2;
   numeric.topology.shards = 3;
   numeric.topology.partial_aggregation = true;
-  FedAvgRunner b(init, data, fleet, numeric);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      numeric);
   b.run();
 
-  EXPECT_LT(max_rel_diff(a.model().weights(), b.model().weights()), 1e-5);
+  EXPECT_LT(
+      max_rel_diff(
+          a.strategy_as<FedAvgStrategy>().model().weights(),
+          b.strategy_as<FedAvgStrategy>().model().weights()),
+      1e-5);
   // Metrics ride the tree verbatim, so participant counts and billing are
   // bitwise identical; losses track the (numerically perturbed) weights,
   // so round 0 is bitwise and later rounds tolerance-close.
@@ -1052,7 +1329,9 @@ TEST(PartialAggregationTest, FedTransNumericMatchesFlatWithinTolerance) {
   cfg.max_models = 3;
   cfg.seed = 13;
 
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_a = a.strategy_as<FedTransStrategy>();
   a.run();
 
   cfg.use_fabric = true;
@@ -1060,15 +1339,19 @@ TEST(PartialAggregationTest, FedTransNumericMatchesFlatWithinTolerance) {
   cfg.topology.shards = 4;
   cfg.topology.branching = 2;
   cfg.topology.partial_aggregation = true;
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_b = b.strategy_as<FedTransStrategy>();
   b.run();
 
   // Per-client losses ride the tree verbatim, so utility learning sees
   // (numerically) the same inputs and the model family grows identically;
   // weights agree to numeric tolerance.
-  ASSERT_EQ(a.num_models(), b.num_models());
-  for (int k = 0; k < a.num_models(); ++k)
-    EXPECT_LT(max_rel_diff(a.model(k).weights(), b.model(k).weights()), 1e-5)
+  ASSERT_EQ(fedtrans_a.num_models(), fedtrans_b.num_models());
+  for (int k = 0; k < fedtrans_a.num_models(); ++k)
+    EXPECT_LT(max_rel_diff(fedtrans_a.model(k).weights(),
+                           fedtrans_b.model(k).weights()),
+              1e-5)
         << "model " << k;
   ASSERT_EQ(a.history().size(), b.history().size());
   for (std::size_t r = 0; r < a.history().size(); ++r)
@@ -1080,32 +1363,38 @@ TEST(PartialAggregationTest, HeteroFLNumericMatchesFlatWithinTolerance) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients(), /*seed=*/4);
 
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 6;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.seed = 19;
 
-  HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
   a.run();
 
   cfg.use_fabric = true;
   cfg.topology.levels = 2;
   cfg.topology.shards = 3;
   cfg.topology.partial_aggregation = true;
-  HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
   b.run();
 
-  EXPECT_LT(max_rel_diff(a.global().weights(), b.global().weights()), 1e-5);
-  ASSERT_EQ(a.engine().history().size(), b.engine().history().size());
-  for (std::size_t r = 0; r < a.engine().history().size(); ++r)
-    EXPECT_NEAR(a.engine().history()[r].avg_loss,
-                b.engine().history()[r].avg_loss,
+  EXPECT_LT(
+      max_rel_diff(
+          a.strategy_as<HeteroFLStrategy>().global().weights(),
+          b.strategy_as<HeteroFLStrategy>().global().weights()),
+      1e-5);
+  ASSERT_EQ(a.history().size(), b.history().size());
+  for (std::size_t r = 0; r < a.history().size(); ++r)
+    EXPECT_NEAR(a.history()[r].avg_loss,
+                b.history()[r].avg_loss,
                 1e-5 * std::max(1.0, std::fabs(
-                                         a.engine().history()[r].avg_loss)));
-  EXPECT_EQ(a.engine().costs().network_bytes(),
-            b.engine().costs().network_bytes());
+                                         a.history()[r].avg_loss)));
+  EXPECT_EQ(a.costs().network_bytes(),
+            b.costs().network_bytes());
 }
 
 TEST(PartialAggregationTest, BitwiseAcrossShardCountsWithSingletonLeaves) {
@@ -1118,7 +1407,7 @@ TEST(PartialAggregationTest, BitwiseAcrossShardCountsWithSingletonLeaves) {
   Model init(tiny_model(), rng);
 
   auto run_with_shards = [&](int shards) {
-    FlRunConfig cfg = base_cfg(33);
+    SessionConfig cfg = base_cfg(33);
     cfg.rounds = 3;
     cfg.clients_per_round = 4;
     cfg.eval_every = 0;
@@ -1126,9 +1415,11 @@ TEST(PartialAggregationTest, BitwiseAcrossShardCountsWithSingletonLeaves) {
     cfg.topology.levels = 2;
     cfg.topology.shards = shards;
     cfg.topology.partial_aggregation = true;
-    FedAvgRunner r(init, data, fleet, cfg);
+    FederationEngine r(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        cfg);
     r.run();
-    return r.model().weights();
+    return r.strategy_as<FedAvgStrategy>().model().weights();
   };
 
   const WeightSet w4 = run_with_shards(4);
@@ -1148,7 +1439,7 @@ TEST(PartialAggregationTest, NumericModeDeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(17);
+  SessionConfig cfg = base_cfg(17);
   cfg.rounds = 3;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1159,10 +1450,14 @@ TEST(PartialAggregationTest, NumericModeDeterministicAcrossThreadCounts) {
   cfg.topology.partial_aggregation = true;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
   expect_identical(a, b);
@@ -1178,13 +1473,17 @@ TEST(PartialAggregationTest, UnsupportedStrategyFailsLoudly) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(3);
+  SessionConfig cfg = base_cfg(3);
   cfg.use_fabric = true;
   cfg.topology.levels = 2;
   cfg.topology.shards = 2;
   cfg.topology.partial_aggregation = true;
-  cfg.compression = CompressionKind::TopK;  // per-client: can't pre-sum
-  EXPECT_THROW(FedAvgRunner(init, data, fleet, cfg), Error);
+  FedAvgOptions topk;
+  topk.compression = CompressionKind::TopK;  // per-client: can't pre-sum
+  EXPECT_THROW(
+      FederationEngine(
+          std::make_unique<FedAvgStrategy>(init, topk), data, fleet, cfg),
+      Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -1198,7 +1497,7 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 6;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1208,7 +1507,9 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
   cfg.fabric_faults.leaf_death_prob = 0.35;
   cfg.fabric_faults.seed = 99;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();
 
   ASSERT_EQ(runner.history().size(), 6u);
@@ -1230,7 +1531,8 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
   // nearly every update survives; the redirected bundles are billed.
   EXPECT_GT(participants, 0);
   const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+      static_cast<double>(
+          runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double failover_bytes =
       static_cast<double>(stats.failover_bytes_down.load());
   EXPECT_GT(failover_bytes, 0.0);
@@ -1239,7 +1541,9 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
               1.0);
 
   // Determinism: the same chaotic run replays bit-identically.
-  FedAvgRunner again(init, data, fleet, cfg);
+  FederationEngine again(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   again.run();
   expect_identical(runner, again);
 }
@@ -1254,7 +1558,7 @@ TEST(LeafFailoverTest, DeepTreeFailoverStaysWithinFaultDomain) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1266,10 +1570,14 @@ TEST(LeafFailoverTest, DeepTreeFailoverStaysWithinFaultDomain) {
   cfg.fabric_faults.seed = 1234;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
@@ -1297,29 +1605,34 @@ TEST(AsyncTreeTest, FaultFreeTreeAsyncMatchesFlatBitwise) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.seed = 42;
   cfg.use_fabric = true;
 
-  FedBuffRunner flat(init, data, fleet, cfg);
+  FederationEngine flat(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   flat.run();
 
   for (int levels : {2, 3}) {
-    AsyncRunConfig tree_cfg = cfg;
+    SessionConfig tree_cfg = cfg;
     tree_cfg.topology.levels = levels;
     tree_cfg.topology.shards = 3;
     tree_cfg.topology.branching = 2;
-    FedBuffRunner tree(init, data, fleet, tree_cfg);
+    FederationEngine tree(
+        std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+        fleet, tree_cfg);
     tree.run();
 
     EXPECT_EQ(flat.now_s(), tree.now_s()) << "levels=" << levels;
-    auto wa = flat.model().weights();
-    auto wb = tree.model().weights();
+    auto wa = flat.strategy_as<FedBuffStrategy>().model().weights();
+    auto wb = tree.strategy_as<FedBuffStrategy>().model().weights();
     ASSERT_EQ(wa.size(), wb.size());
     for (std::size_t i = 0; i < wa.size(); ++i)
       EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
@@ -1331,9 +1644,9 @@ TEST(AsyncTreeTest, FaultFreeTreeAsyncMatchesFlatBitwise) {
                 tree.history()[r].round_time_s);
     }
     // The tree moved more backbone frames for the same outcome.
-    EXPECT_GT(tree.engine().fabric()->stats().frames_sent.load(),
-              flat.engine().fabric()->stats().frames_sent.load());
-    EXPECT_EQ(tree.engine().fabric()->stats().frames_rejected.load(), 0u);
+    EXPECT_GT(tree.fabric()->stats().frames_sent.load(),
+              flat.fabric()->stats().frames_sent.load());
+    EXPECT_EQ(tree.fabric()->stats().frames_rejected.load(), 0u);
   }
 }
 
@@ -1343,10 +1656,11 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
   cfg.seed = 7;
@@ -1361,10 +1675,12 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 30.0;
 
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   runner.run();  // must terminate: timeouts replace lost clients
 
-  EXPECT_EQ(runner.aggregations_done(), cfg.aggregations);
+  EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
   int lost = 0, failovers = 0;
   for (const auto& rec : runner.history()) {
     lost += rec.lost_updates;
@@ -1374,13 +1690,15 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   // Failed-over jobs are recorded per shipped version, reconciling with
   // the transport counter up to the residual after the last ship.
   EXPECT_LE(static_cast<std::uint64_t>(failovers),
-            runner.engine().fabric()->stats().leaf_failovers.load());
-  EXPECT_GT(runner.engine().fabric()->stats().leaf_failovers.load(), 0u)
+            runner.fabric()->stats().leaf_failovers.load());
+  EXPECT_GT(runner.fabric()->stats().leaf_failovers.load(), 0u)
       << "a 15% leaf death rate over the session must reroute some jobs";
-  EXPECT_EQ(runner.engine().fabric()->stats().frames_rejected.load(), 0u);
+  EXPECT_EQ(runner.fabric()->stats().frames_rejected.load(), 0u);
 
   // Deterministic replay.
-  FedBuffRunner again(init, data, fleet, cfg);
+  FederationEngine again(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   again.run();
   EXPECT_EQ(runner.now_s(), again.now_s());
   ASSERT_EQ(runner.history().size(), again.history().size());
@@ -1402,7 +1720,7 @@ TEST(BandwidthTest, QuantizedFedAvgTreeMatchesExactNumericWithinTolerance) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig exact = base_cfg(21);
+  SessionConfig exact = base_cfg(21);
   exact.rounds = 4;
   exact.clients_per_round = 6;
   exact.eval_every = 0;
@@ -1411,15 +1729,23 @@ TEST(BandwidthTest, QuantizedFedAvgTreeMatchesExactNumericWithinTolerance) {
   exact.topology.shards = 4;
   exact.topology.branching = 2;
   exact.topology.partial_aggregation = true;
-  FedAvgRunner a(init, data, fleet, exact);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      exact);
   a.run();
 
   for (PartialQuant q : {PartialQuant::Int8, PartialQuant::Fp16}) {
-    FlRunConfig quant = exact;
+    SessionConfig quant = exact;
     quant.topology.quantize_partials = q;
-    FedAvgRunner b(init, data, fleet, quant);
+    FederationEngine b(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        quant);
     b.run();
-    EXPECT_LT(max_rel_diff(a.model().weights(), b.model().weights()), 1e-3)
+    EXPECT_LT(
+        max_rel_diff(
+            a.strategy_as<FedAvgStrategy>().model().weights(),
+            b.strategy_as<FedAvgStrategy>().model().weights()),
+        1e-3)
         << "quant mode " << static_cast<int>(q);
     // Metrics ride the tree verbatim either way.
     ASSERT_EQ(a.history().size(), b.history().size());
@@ -1436,7 +1762,7 @@ TEST(BandwidthTest, QuantizedHeteroFLTreeMatchesExactNumericWithinTolerance) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients(), /*seed=*/4);
 
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 6;
   cfg.local.steps = 3;
@@ -1447,15 +1773,21 @@ TEST(BandwidthTest, QuantizedHeteroFLTreeMatchesExactNumericWithinTolerance) {
   cfg.topology.shards = 3;
   cfg.topology.partial_aggregation = true;
 
-  HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
   a.run();
 
   cfg.topology.quantize_partials = PartialQuant::Int8;
-  HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
   b.run();
 
-  EXPECT_LT(max_rel_diff(a.global().weights(), b.global().weights()), 1e-3);
-  EXPECT_EQ(b.engine().fabric()->stats().frames_rejected.load(), 0u);
+  EXPECT_LT(
+      max_rel_diff(
+          a.strategy_as<HeteroFLStrategy>().global().weights(),
+          b.strategy_as<HeteroFLStrategy>().global().weights()),
+      1e-3);
+  EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
 }
 
 TEST(BandwidthTest, QuantizedFedTransTreeMatchesExactNumericWithinTolerance) {
@@ -1479,19 +1811,25 @@ TEST(BandwidthTest, QuantizedFedTransTreeMatchesExactNumericWithinTolerance) {
   cfg.topology.branching = 2;
   cfg.topology.partial_aggregation = true;
 
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_a = a.strategy_as<FedTransStrategy>();
   a.run();
 
   cfg.topology.quantize_partials = PartialQuant::Fp16;
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_b = b.strategy_as<FedTransStrategy>();
   b.run();
 
   // Utility learning consumes the verbatim per-client losses; fp16 group
   // sums keep the weight drift small enough that the family trajectory is
   // preserved on this fixture.
-  ASSERT_EQ(a.num_models(), b.num_models());
-  for (int k = 0; k < a.num_models(); ++k)
-    EXPECT_LT(max_rel_diff(a.model(k).weights(), b.model(k).weights()), 1e-3)
+  ASSERT_EQ(fedtrans_a.num_models(), fedtrans_b.num_models());
+  for (int k = 0; k < fedtrans_a.num_models(); ++k)
+    EXPECT_LT(max_rel_diff(fedtrans_a.model(k).weights(),
+                           fedtrans_b.model(k).weights()),
+              1e-3)
         << "model " << k;
 }
 
@@ -1502,7 +1840,7 @@ TEST(BandwidthTest, QuantizedModeDeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(17);
+  SessionConfig cfg = base_cfg(17);
   cfg.rounds = 3;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1514,10 +1852,14 @@ TEST(BandwidthTest, QuantizedModeDeterministicAcrossThreadCounts) {
   cfg.topology.quantize_partials = PartialQuant::Int8;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
   expect_identical(a, b);
@@ -1531,12 +1873,16 @@ TEST(BandwidthTest, QuantizedPartialsRequireNumericMode) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(3);
+  SessionConfig cfg = base_cfg(3);
   cfg.use_fabric = true;
   cfg.topology.levels = 2;
   cfg.topology.shards = 2;
   cfg.topology.quantize_partials = PartialQuant::Int8;
-  EXPECT_THROW(FedAvgRunner(init, data, fleet, cfg), Error);
+  EXPECT_THROW(
+      FederationEngine(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          cfg),
+      Error);
 }
 
 TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {
@@ -1550,17 +1896,21 @@ TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig cold = base_cfg(seed);
+      SessionConfig cold = base_cfg(seed);
       cold.use_fabric = true;
       cold.topology.levels = 3;
       cold.topology.shards = 4;
       cold.topology.branching = 2;
-      FedAvgRunner a(init, data, fleet, cold);
+      FederationEngine a(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          cold);
       a.run();
 
-      FlRunConfig cached = cold;
+      SessionConfig cached = cold;
       cached.topology.broadcast_cache = true;
-      FedAvgRunner b(init, data, fleet, cached);
+      FederationEngine b(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          cached);
       b.run();
 
       // Bitwise including costs: elision only trims the zero-latency
@@ -1576,16 +1926,20 @@ TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {
   // Socket leg: the elided frames survive stream reassembly too.
   Rng rng(3 + 11);
   Model init(tiny_model(), rng);
-  FlRunConfig cold = base_cfg(11);
+  SessionConfig cold = base_cfg(11);
   cold.use_fabric = true;
   cold.topology.levels = 2;
   cold.topology.shards = 3;
   cold.with_socket_transport();
-  FedAvgRunner a(init, data, fleet, cold);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cold);
   a.run();
-  FlRunConfig cached = cold;
+  SessionConfig cached = cold;
   cached.topology.broadcast_cache = true;
-  FedAvgRunner b(init, data, fleet, cached);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cached);
   b.run();
   expect_identical(a, b);
   EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
@@ -1602,22 +1956,26 @@ TEST(BandwidthTest, DeltaDownlinkKeepsResultsBitwiseIdentical) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig full = base_cfg(seed);
+      SessionConfig full = base_cfg(seed);
       full.use_fabric = true;
       full.topology.levels = 2;
       full.topology.shards = 3;
-      FedAvgRunner a(init, data, fleet, full);
+      FederationEngine a(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          full);
       a.run();
 
-      FlRunConfig delta = full;
+      SessionConfig delta = full;
       delta.topology.delta_downlink = true;
-      FedAvgRunner b(init, data, fleet, delta);
+      FederationEngine b(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          delta);
       b.run();
 
       // Clients reconstruct the exact weights, so the whole trajectory is
       // bitwise; any shipped delta can only shrink the bill.
-      auto wa = a.model().weights();
-      auto wb = b.model().weights();
+      auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+      auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -1635,17 +1993,21 @@ TEST(BandwidthTest, DeltaDownlinkKeepsResultsBitwiseIdentical) {
   // Socket leg, flat topology (delta applies to every sync downlink path).
   Rng rng(3 + 42);
   Model init(tiny_model(), rng);
-  FlRunConfig full = base_cfg(42);
+  SessionConfig full = base_cfg(42);
   full.use_fabric = true;
   full.with_socket_transport();
-  FedAvgRunner a(init, data, fleet, full);
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      full);
   a.run();
-  FlRunConfig delta = full;
+  SessionConfig delta = full;
   delta.topology.delta_downlink = true;
-  FedAvgRunner b(init, data, fleet, delta);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      delta);
   b.run();
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;

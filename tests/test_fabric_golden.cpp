@@ -62,6 +62,9 @@ struct Golden {
 // and collect loops; serving the flat fabric as a 1-level tree (the root as
 // its only leaf) must send exactly these frames. Sim and socket runs agree
 // line for line, as the transports' fault draws are shared.
+// The faulted FedBuff lines' dropouts= are async round trips whose client
+// trained and then vanished (FederationServer::async_exchange), counted
+// like the sync path's.
 const Golden kGoldens[] = {
     {"fedavg/sim/clean", 0x8767da34da567388ULL,
      "sent=64/107520 delivered=64/107520 dropped=0 dup=0 reordered=0 rejected=0 retried=0/0/0 failovers=0/0 root_in=53568 downlink=53952 cache=0/0 delta=0/0 dropouts=0"},
@@ -82,11 +85,11 @@ const Golden kGoldens[] = {
     {"fedbuff/sim/clean", 0x7555fe91ab8c7334ULL,
      "sent=26/86372 delivered=26/86372 dropped=0 dup=0 reordered=0 rejected=0 retried=0/0/0 failovers=0/0 root_in=43056 downlink=43316 cache=0/0 delta=0/0 dropouts=0"},
     {"fedbuff/sim/faulted", 0xec17a35b458faac4ULL,
-     "sent=29/96348 delivered=28/93056 dropped=5 dup=4 reordered=9 rejected=0 retried=3/0/9936 failovers=0/0 root_in=39744 downlink=49980 cache=0/0 delta=0/0 dropouts=0"},
+     "sent=29/96348 delivered=28/93056 dropped=5 dup=4 reordered=9 rejected=0 retried=3/0/9936 failovers=0/0 root_in=39744 downlink=49980 cache=0/0 delta=0/0 dropouts=2"},
     {"fedbuff/socket/clean", 0x7555fe91ab8c7334ULL,
      "sent=26/86372 delivered=26/86372 dropped=0 dup=0 reordered=0 rejected=0 retried=0/0/0 failovers=0/0 root_in=43056 downlink=43316 cache=0/0 delta=0/0 dropouts=0"},
     {"fedbuff/socket/faulted", 0xec17a35b458faac4ULL,
-     "sent=29/96348 delivered=28/93056 dropped=5 dup=4 reordered=9 rejected=0 retried=3/0/9936 failovers=0/0 root_in=39744 downlink=49980 cache=0/0 delta=0/0 dropouts=0"},
+     "sent=29/96348 delivered=28/93056 dropped=5 dup=4 reordered=9 rejected=0 retried=3/0/9936 failovers=0/0 root_in=39744 downlink=49980 cache=0/0 delta=0/0 dropouts=2"},
     {"server/sim/clean", 0xde11aeb215aee7e0ULL,
      "sent=120/203064 delivered=120/203064 dropped=0 dup=0 reordered=0 rejected=0 retried=0/0/0 failovers=0/0 root_in=100440 downlink=102624 cache=0/0 delta=0/0 dropouts=0"},
     {"server/sim/faulted", 0xf79e4a8f4e7ac418ULL,
@@ -194,7 +197,7 @@ struct Outcome {
 Outcome run_fedavg(const FederatedDataset& data, bool socket, bool faulted) {
   Rng rng(31);
   Model init(golden_model(), rng);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 4;
   cfg.local.steps = 3;
@@ -205,10 +208,13 @@ Outcome run_fedavg(const FederatedDataset& data, bool socket, bool faulted) {
   cfg.use_fabric = true;
   if (socket) cfg.with_socket_transport();
   if (faulted) apply_faults(cfg.fabric_faults, cfg.topology);
-  FedAvgRunner runner(init, data, golden_fleet(data.num_clients()), cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data,
+      golden_fleet(data.num_clients()), cfg);
   runner.run();
   Outcome o;
-  o.hash = hash_weights(o.hash, runner.model().weights());
+  o.hash = hash_weights(
+      o.hash, runner.strategy_as<FedAvgStrategy>().model().weights());
   o.hash = hash_history(o.hash, runner.history());
   o.hash = hash_costs(o.hash, runner.costs());
   o.counters = counters(runner.fabric()->stats());
@@ -217,7 +223,7 @@ Outcome run_fedavg(const FederatedDataset& data, bool socket, bool faulted) {
 
 Outcome run_heterofl(const FederatedDataset& data, bool socket,
                      bool faulted) {
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 5;
   cfg.local.steps = 3;
@@ -228,42 +234,43 @@ Outcome run_heterofl(const FederatedDataset& data, bool socket,
   cfg.use_fabric = true;
   if (socket) cfg.with_socket_transport();
   if (faulted) apply_faults(cfg.fabric_faults, cfg.topology);
-  HeteroFLRunner runner(golden_model(), data,
-                        golden_fleet(data.num_clients()), cfg);
+  FederationEngine runner(
+      std::make_unique<HeteroFLStrategy>(golden_model()), data,
+      golden_fleet(data.num_clients()), cfg);
   runner.run();
   Outcome o;
-  o.hash = hash_weights(o.hash, runner.global().weights());
-  o.hash = hash_history(o.hash, runner.engine().history());
-  o.hash = hash_costs(o.hash, runner.engine().costs());
-  o.counters = counters(runner.engine().fabric()->stats());
+  o.hash = hash_weights(
+      o.hash, runner.strategy_as<HeteroFLStrategy>().global().weights());
+  o.hash = hash_history(o.hash, runner.history());
+  o.hash = hash_costs(o.hash, runner.costs());
+  o.counters = counters(runner.fabric()->stats());
   return o;
 }
 
 Outcome run_fedbuff(const FederatedDataset& data, bool socket, bool faulted) {
   Rng rng(8);
   Model init(golden_model(), rng);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 5;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 5;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.eval_every = 3;
   cfg.eval_clients = 6;
   cfg.seed = 42;
   cfg.use_fabric = true;
+  if (socket) cfg.with_socket_transport();
   if (faulted) apply_faults(cfg.fabric_faults, cfg.topology);
-  // The FedBuff runner config carries no transport choice; the engine's
-  // session config does.
-  SessionConfig session = cfg.to_session();
-  if (socket) session.with_socket_transport();
-  auto strategy = std::make_unique<FedBuffStrategy>(init, cfg.server_opt);
-  FedBuffStrategy* fedbuff = strategy.get();
-  FederationEngine engine(std::move(strategy), data,
-                          golden_fleet(data.num_clients()), session);
+  FederationEngine engine(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      golden_fleet(data.num_clients()), cfg);
   engine.run();
   Outcome o;
-  o.hash = hash_weights(o.hash, fedbuff->model().weights());
+  o.hash = hash_weights(o.hash,
+                        engine.strategy_as<FedBuffStrategy>(
+                            ).model().weights());
   o.hash = hash_history(o.hash, engine.history());
   o.hash = hash_costs(o.hash, engine.costs());
   o.hash = fnv1a_pod(o.hash, engine.now_s());

@@ -22,7 +22,10 @@ TEST(FailureModes, TrainerRejectsFleetSizeMismatch) {
   std::vector<DeviceProfile> fleet(3);  // wrong size
   FedTransConfig cfg;
   EXPECT_THROW(
-      FedTransTrainer(ModelSpec::conv(1, 8, 3, 4, {6}), data, fleet, cfg),
+      FederationEngine(
+          std::make_unique<FedTransStrategy>(
+              ModelSpec::conv(1, 8, 3, 4, {6}), cfg),
+          data, fleet, cfg),
       Error);
 }
 
@@ -39,9 +42,11 @@ TEST(FailureModes, SingleClientFleetStillRuns) {
   cfg.rounds = 4;
   cfg.clients_per_round = 3;  // more than exist: clamped
   cfg.local.steps = 3;
-  FedTransTrainer trainer(ModelSpec::conv(1, 8, 3, 4, {6}), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(ModelSpec::conv(1, 8, 3, 4, {6}), cfg),
+      data, fleet, cfg);
   EXPECT_NO_THROW(trainer.run());
-  auto ev = trainer.evaluate_final();
+  auto ev = trainer.strategy_as<FedTransStrategy>().evaluate_final();
   EXPECT_EQ(ev.client_accuracy.size(), 1u);
 }
 
@@ -61,9 +66,11 @@ TEST(FailureModes, AllClientsIncompatibleFallBackToInitialModel) {
   cfg.rounds = 3;
   cfg.clients_per_round = 3;
   cfg.local.steps = 2;
-  FedTransTrainer trainer(ModelSpec::conv(1, 8, 3, 4, {6}), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(ModelSpec::conv(1, 8, 3, 4, {6}), cfg),
+      data, fleet, cfg);
   EXPECT_NO_THROW(trainer.run());
-  auto ev = trainer.evaluate_final();
+  auto ev = trainer.strategy_as<FedTransStrategy>().evaluate_final();
   for (int m : ev.client_model) EXPECT_EQ(m, 0);
 }
 
@@ -121,10 +128,12 @@ TEST(FailureModes, RunnerWithZeroRoundsIsNoOp) {
   std::vector<DeviceProfile> fleet(4);
   for (auto& d : fleet) d.capacity_macs = 1e9;
   Rng rng(7);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 0;
-  FedAvgRunner runner(Model(ModelSpec::conv(1, 8, 3, 4, {6}), rng), data,
-                      fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(
+          Model(ModelSpec::conv(1, 8, 3, 4, {6}), rng), FedAvgOptions{}),
+      data, fleet, cfg);
   runner.run();
   EXPECT_EQ(runner.history().size(), 0u);
   EXPECT_EQ(runner.costs().total_macs(), 0.0);

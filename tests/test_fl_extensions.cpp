@@ -11,6 +11,7 @@
 
 #include "baselines/fedrolex.hpp"
 #include "common/check.hpp"
+#include "common/stats.hpp"
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "fl/selection.hpp"
@@ -234,15 +235,19 @@ TEST(FedBuffTest, CompletesRequestedAggregations) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(11);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 3;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 3;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 4;
   cfg.local.batch = 6;
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(
+          Model(tiny_model(), rng), ServerOptKind::FedAvg),
+      data, fleet, cfg);
   runner.run();
-  EXPECT_EQ(runner.aggregations_done(), 6);
+  EXPECT_EQ(runner.versions_done(), 6);
   EXPECT_EQ(runner.history().size(), 6u);
   EXPECT_GT(runner.now_s(), 0.0);
 }
@@ -251,13 +256,17 @@ TEST(FedBuffTest, WallClockIsMonotone) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(12);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 8;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 8;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(
+          Model(tiny_model(), rng), ServerOptKind::FedAvg),
+      data, fleet, cfg);
   runner.run();
   double prev = 0.0;
   for (const auto& rec : runner.history()) {
@@ -272,10 +281,12 @@ TEST(FedBuffTest, FreshRunnerMetersAreZeroNotNan) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(99);
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet,
-                       AsyncRunConfig{});
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(
+          Model(tiny_model(), rng), ServerOptKind::FedAvg),
+      data, fleet, SessionConfig{}.with_async(AsyncBlock{}));
   EXPECT_EQ(runner.mean_staleness(), 0.0);
-  EXPECT_EQ(runner.aggregations_done(), 0);
+  EXPECT_EQ(runner.versions_done(), 0);
   EXPECT_EQ(runner.now_s(), 0.0);
   EXPECT_TRUE(runner.history().empty());
   EXPECT_EQ(runner.costs().total_macs(), 0.0);
@@ -285,19 +296,23 @@ TEST(FedBuffTest, StalenessIsBoundedByConcurrencyWindow) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6, /*sigma=*/1.5);
   Rng rng(13);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 6;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 10;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 6;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 10;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(
+          Model(tiny_model(), rng), ServerOptKind::FedAvg),
+      data, fleet, cfg);
   runner.run();
   // With C in flight and buffer K, an update can be at most
   // ceil(C/K) + aggregations behind only if it never returns; mean
   // staleness must at least be finite and non-negative.
   EXPECT_GE(runner.mean_staleness(), 0.0);
-  EXPECT_LE(runner.mean_staleness(), cfg.aggregations);
+  EXPECT_LE(runner.mean_staleness(), cfg.async.aggregations);
 }
 
 TEST(FedBuffTest, LearnsOnSeparableData) {
@@ -305,19 +320,24 @@ TEST(FedBuffTest, LearnsOnSeparableData) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(14);
   Model init(tiny_model(), rng);
-  FedBuffRunner probe(init, data, fleet, AsyncRunConfig{});
-  const double acc0 = probe.mean_client_accuracy();
+  FederationEngine probe(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, SessionConfig{}.with_async(AsyncBlock{}));
+  const double acc0 = mean(probe.client_accuracy());
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 5;
-  cfg.buffer_size = 5;
-  cfg.aggregations = 30;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 5;
+  cfg.async.buffer_size = 5;
+  cfg.async.aggregations = 30;
   cfg.local.steps = 8;
   cfg.local.batch = 8;
   cfg.seed = 3;
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, cfg);
   runner.run();
-  EXPECT_GT(runner.mean_client_accuracy(), acc0 + 0.15)
+  EXPECT_GT(mean(runner.client_accuracy()), acc0 + 0.15)
       << "async training should improve over the random initialization";
 }
 
@@ -330,23 +350,28 @@ TEST(FedBuffTest, AsyncBeatsSyncWallClockUnderStragglers) {
   Rng rng(15);
   Model init(tiny_model(), rng);
 
-  FlRunConfig scfg;
+  SessionConfig scfg;
   scfg.rounds = 6;
   scfg.clients_per_round = 6;
   scfg.local.steps = 4;
   scfg.local.batch = 6;
-  FedAvgRunner sync(init, data, fleet, scfg);
+  FederationEngine sync(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      scfg);
   sync.run();
   double sync_wall = 0.0;
   for (const auto& rec : sync.history()) sync_wall += rec.round_time_s;
 
-  AsyncRunConfig acfg;
-  acfg.concurrency = 6;
-  acfg.buffer_size = 6;
-  acfg.aggregations = 6;  // same number of server updates
+  SessionConfig acfg;
+  acfg.mode = SessionMode::Async;
+  acfg.async.concurrency = 6;
+  acfg.async.buffer_size = 6;
+  acfg.async.aggregations = 6;  // same number of server updates
   acfg.local.steps = 4;
   acfg.local.batch = 6;
-  FedBuffRunner async_runner(init, data, fleet, acfg);
+  FederationEngine async_runner(
+      std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+      fleet, acfg);
   async_runner.run();
 
   EXPECT_LT(async_runner.now_s(), sync_wall)
@@ -357,10 +382,131 @@ TEST(FedBuffTest, RejectsInvalidConfig) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(16);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 0;
-  EXPECT_THROW(FedBuffRunner(Model(tiny_model(), rng), data, fleet, cfg),
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 0;
+  EXPECT_THROW(FederationEngine(std::make_unique<FedBuffStrategy>(
+                                    Model(tiny_model(), rng),
+                                    ServerOptKind::FedAvg),
+                                data, fleet, cfg),
                Error);
+}
+
+// eval_every is honored in async mode too: every k-th shipped server
+// version carries an accuracy probe, the rest keep the -1 sentinel.
+TEST(FedBuffTest, AsyncSessionHonorsEvalEvery) {
+  auto data = FederatedDataset::generate(tiny_data(10));
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  SessionConfig cfg;
+  cfg.with_async(AsyncBlock{4, 3, 6, 0.5}).with_seed(5).with_eval(2, 4);
+  cfg.local.steps = 3;
+  cfg.local.batch = 6;
+  Rng rng(cfg.seed + 1);
+  FederationEngine engine(
+      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng),
+                                        ServerOptKind::FedAvg),
+      data, fleet, cfg);
+  engine.run();
+
+  ASSERT_EQ(engine.history().size(), 6u);
+  for (const RoundRecord& rec : engine.history()) {
+    if (rec.round % cfg.eval_every == 0) {
+      EXPECT_GE(rec.accuracy, 0.0) << "version " << rec.round;
+    } else {
+      EXPECT_EQ(rec.accuracy, -1.0) << "version " << rec.round;
+    }
+  }
+}
+
+// ------------------------------------------------------------------ engine
+
+TEST(SessionConfigTest, FluentBuilderComposes) {
+  const auto cfg = SessionConfig{}
+                       .with_rounds(12)
+                       .with_clients_per_round(6)
+                       .with_eval(3, 8)
+                       .with_seed(42)
+                       .with_selector(SelectorKind::PowerOfChoice)
+                       .with_fabric();
+  EXPECT_EQ(cfg.rounds, 12);
+  EXPECT_EQ(cfg.clients_per_round, 6);
+  EXPECT_EQ(cfg.eval_every, 3);
+  EXPECT_EQ(cfg.eval_clients, 8);
+  EXPECT_EQ(cfg.seed, 42u);
+  EXPECT_EQ(cfg.selector, SelectorKind::PowerOfChoice);
+  EXPECT_TRUE(cfg.use_fabric);
+  EXPECT_EQ(cfg.mode, SessionMode::Sync);
+}
+
+class CountingObserver : public RoundObserver {
+ public:
+  void on_round_start(int round) override { starts.push_back(round); }
+  void on_round_end(const RoundRecord& rec) override {
+    records.push_back(rec);
+  }
+  std::vector<int> starts;
+  std::vector<RoundRecord> records;
+};
+
+TEST(RoundObserverTest, ObserverSeesEveryRoundRecord) {
+  auto data = FederatedDataset::generate(tiny_data(10));
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  SessionConfig cfg;
+  cfg.rounds = 4;
+  cfg.clients_per_round = 3;
+  cfg.local.steps = 2;
+  cfg.local.batch = 4;
+  cfg.eval_every = 2;
+  cfg.seed = 9;
+  Rng rng(2);
+  FederationEngine engine(
+      std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                       FedAvgOptions{}),
+      data, fleet, cfg);
+
+  CountingObserver obs;
+  engine.add_observer(&obs);
+  int callback_rounds = 0;
+  engine.on_round([&](const RoundRecord&) { ++callback_rounds; });
+  engine.run();
+
+  ASSERT_EQ(obs.records.size(), engine.history().size());
+  ASSERT_EQ(obs.starts.size(), engine.history().size());
+  EXPECT_EQ(callback_rounds, cfg.rounds);
+  for (std::size_t r = 0; r < obs.records.size(); ++r) {
+    EXPECT_EQ(obs.records[r].round, engine.history()[r].round);
+    EXPECT_EQ(obs.records[r].avg_loss, engine.history()[r].avg_loss);
+    EXPECT_EQ(obs.records[r].accuracy, engine.history()[r].accuracy);
+  }
+}
+
+TEST(ClientAccuracyTest, AgreesWithAWholeFleetProbe) {
+  // client_accuracy asks the strategy's probe about one client at a time;
+  // its mean is the periodic probe over every client (up to summation
+  // order), for a single-model and a multi-model strategy alike.
+  auto data = FederatedDataset::generate(tiny_data(10));
+  auto fleet = fleet_with_capacity(data.num_clients(), 1e5);
+  SessionConfig cfg;
+  cfg.rounds = 2;
+  cfg.clients_per_round = 4;
+  cfg.local.steps = 2;
+  cfg.local.batch = 4;
+  cfg.eval_every = 1;
+  cfg.eval_clients = 0;  // probe every client
+  Rng rng(3);
+  FederationEngine fedavg(
+      std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                       FedAvgOptions{}),
+      data, fleet, cfg);
+  FederationEngine rolex(std::make_unique<FedRolexStrategy>(tiny_model()),
+                         data, fleet, cfg);
+  for (FederationEngine* engine : {&fedavg, &rolex}) {
+    engine->run();
+    const std::vector<double> accs = engine->client_accuracy();
+    ASSERT_EQ(accs.size(), static_cast<std::size_t>(data.num_clients()));
+    EXPECT_NEAR(mean(accs), engine->history().back().accuracy, 1e-12)
+        << engine->strategy().name();
+  }
 }
 
 // ---------------------------------------------------------------- FedRolex
@@ -368,43 +514,51 @@ TEST(FedBuffTest, RejectsInvalidConfig) {
 TEST(FedRolexTest, OffsetsRollByOneEachRound) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 4;
   cfg.local.steps = 2;
   cfg.local.batch = 6;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
-  EXPECT_EQ(runner.offset_for_space(0), 0);
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
+  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 0);
   runner.run_round();
-  EXPECT_EQ(runner.offset_for_space(0), 1);
+  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 1);
   runner.run_round();
-  EXPECT_EQ(runner.offset_for_space(0), 2);
+  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 2);
 }
 
 TEST(FedRolexTest, OffsetWrapsAtSpaceWidth) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 1;
   cfg.clients_per_round = 2;
   cfg.local.steps = 1;
   cfg.local.batch = 4;
   // tiny_model stem width is 4 → offset cycles with period 4.
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
   for (int r = 0; r < 9; ++r) runner.run_round();
-  EXPECT_EQ(runner.offset_for_space(0), 9 % 4);
+  EXPECT_EQ(
+      runner.strategy_as<FedRolexStrategy>(
+          ).offset_for_space(0, runner.rounds_done()),
+      9 % 4);
 }
 
 TEST(FedRolexTest, SubmodelWindowMatchesGlobalChannels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  SessionConfig cfg;
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
 
   // Level 1 = half width. At round 0 (offset 0) the submodel is the prefix
   // crop, i.e. identical to HeteroFL's extraction.
-  Model sub = runner.submodel(1);
-  auto gp = runner.global().params();
+  Model sub = rolex.submodel(1, runner.rounds_done());
+  auto gp = rolex.global().params();
   auto sp = sub.params();
   ASSERT_EQ(gp.size(), sp.size());
   // Stem conv weight: sub rows must equal the first rows of the global.
@@ -422,14 +576,16 @@ TEST(FedRolexTest, FullWidthSubmodelIsBijective) {
   // model: same parameter count, same multiset of values per tensor.
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.clients_per_round = 3;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
   runner.run_round();  // offset becomes 1 → genuinely rolled
-  Model sub = runner.submodel(0);
-  auto gp = runner.global().params();
+  Model sub = rolex.submodel(0, runner.rounds_done());
+  auto gp = rolex.global().params();
   auto sp = sub.params();
   for (std::size_t i = 0; i < gp.size(); ++i) {
     ASSERT_TRUE(gp[i].value->same_shape(*sp[i].value));
@@ -449,15 +605,17 @@ TEST(FedRolexTest, EveryGlobalChannelEventuallyTrains) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 1.0);  // tiny caps →
                                                               // weakest level
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 8;
   cfg.clients_per_round = 4;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
-  auto before = runner.global().weights();
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
+  auto before = rolex.global().weights();
   runner.run();
-  auto after = runner.global().weights();
+  auto after = rolex.global().weights();
   // Stem conv weight rows: every row must have changed in ≥1 element.
   const Tensor& b0 = before[0];
   const Tensor& a0 = after[0];
@@ -474,12 +632,14 @@ TEST(FedRolexTest, EveryGlobalChannelEventuallyTrains) {
 TEST(FedRolexTest, LevelAssignmentRespectsCapacity) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6, /*sigma=*/1.5);
-  BaselineConfig cfg;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  SessionConfig cfg;
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
-    const int lvl = runner.level_for(c);
-    Model sub = runner.submodel(lvl);
-    if (lvl < runner.num_levels() - 1) {
+    const int lvl = rolex.level_for(c);
+    Model sub = rolex.submodel(lvl, runner.rounds_done());
+    if (lvl < rolex.num_levels() - 1) {
       EXPECT_LE(static_cast<double>(sub.macs()),
                 fleet[static_cast<std::size_t>(c)].capacity_macs);
     }
@@ -489,36 +649,38 @@ TEST(FedRolexTest, LevelAssignmentRespectsCapacity) {
 TEST(FedRolexTest, LearnsOnSeparableData) {
   auto data = FederatedDataset::generate(tiny_data(10));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 25;
   cfg.clients_per_round = 5;
   cfg.local.steps = 8;
   cfg.local.batch = 8;
   cfg.seed = 5;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
-  auto rep_before = runner.report();
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
+  const double before = mean(runner.client_accuracy());
   runner.run();
-  auto rep_after = runner.report();
-  EXPECT_GT(rep_after.mean_accuracy, rep_before.mean_accuracy + 0.1);
+  EXPECT_GT(mean(runner.client_accuracy()), before + 0.1);
 }
 
 TEST(FedRolexTest, RejectsAttentionModels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.clients_per_round = 2;
   cfg.local.steps = 1;
   cfg.local.batch = 4;
   auto vit = ModelSpec::attention(1, 8, 4, 2, 8, {16});
-  FedRolexRunner runner(vit, data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedRolexStrategy>(vit), data, fleet, cfg);
   EXPECT_THROW(runner.run_round(), Error);
 }
 
 TEST(FedRolexTest, RejectsRatiosNotStartingAtOne) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  EXPECT_THROW(FedRolexRunner(tiny_model(), data, fleet, BaselineConfig{},
-                              {0.5, 0.25}),
+  EXPECT_THROW(FederationEngine(std::make_unique<FedRolexStrategy>(
+                                    tiny_model(), std::vector<double>{0.5, 0.25}),
+                                data, fleet, SessionConfig{}),
                Error);
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/stats.hpp"
 #include "fl/runner.hpp"
 #include "test_util.hpp"
 
@@ -35,8 +36,8 @@ std::vector<DeviceProfile> long_tail_fleet(int n) {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-FlRunConfig base_cfg() {
-  FlRunConfig cfg;
+SessionConfig base_cfg() {
+  SessionConfig cfg;
   cfg.rounds = 6;
   cfg.clients_per_round = 6;
   cfg.local.steps = 3;
@@ -51,16 +52,20 @@ TEST(OverSelectionTest, DefaultConfigReproducesLegacyRunExactly) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FedAvgRunner a(init, data, fleet, base_cfg());
+  FederationEngine a(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      base_cfg());
   a.run();
-  FlRunConfig explicit_defaults = base_cfg();
+  FedAvgOptions explicit_defaults;
   explicit_defaults.overcommit = 0.0;
   explicit_defaults.deadline_quantile = 1.0;
-  FedAvgRunner b(init, data, fleet, explicit_defaults);
+  FederationEngine b(
+      std::make_unique<FedAvgStrategy>(init, explicit_defaults), data, fleet,
+      base_cfg());
   b.run();
 
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0);
 }
@@ -71,15 +76,18 @@ TEST(OverSelectionTest, DeadlineCutsRoundTime) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FedAvgRunner plain(init, data, fleet, base_cfg());
+  FederationEngine plain(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      base_cfg());
   plain.run();
   double plain_wall = 0.0;
   for (const auto& rec : plain.history()) plain_wall += rec.round_time_s;
 
-  FlRunConfig oc = base_cfg();
+  FedAvgOptions oc;
   oc.overcommit = 0.5;
   oc.deadline_quantile = 0.7;  // drop the slowest ~30%
-  FedAvgRunner fast(init, data, fleet, oc);
+  FederationEngine fast(
+      std::make_unique<FedAvgStrategy>(init, oc), data, fleet, base_cfg());
   fast.run();
   double fast_wall = 0.0;
   for (const auto& rec : fast.history()) fast_wall += rec.round_time_s;
@@ -94,16 +102,18 @@ TEST(OverSelectionTest, DroppedClientsAreStillBilled) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig oc = base_cfg();
-  oc.rounds = 3;
+  SessionConfig cfg = base_cfg();
+  cfg.rounds = 3;
+  FedAvgOptions oc;
   oc.overcommit = 1.0;  // select 2k, aggregate at most k
   oc.deadline_quantile = 0.5;
-  FedAvgRunner runner(init, data, fleet, oc);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, oc), data, fleet, cfg);
   runner.run();
 
-  FlRunConfig plain = base_cfg();
-  plain.rounds = 3;
-  FedAvgRunner reference(init, data, fleet, plain);
+  FederationEngine reference(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   reference.run();
 
   // Over-commit burns strictly more device compute (late clients train too).
@@ -115,19 +125,23 @@ TEST(OverSelectionTest, StillLearnsWithAggressiveDeadline) {
   auto fleet = long_tail_fleet(10);
   Rng rng(5);
   Model init(tiny_model(), rng);
-  FedAvgRunner probe(init, data, fleet, base_cfg());
-  const double acc0 = probe.mean_client_accuracy();
+  FederationEngine probe(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      base_cfg());
+  const double acc0 = mean(probe.client_accuracy());
 
-  FlRunConfig oc = base_cfg();
-  oc.rounds = 22;
-  oc.clients_per_round = 5;
-  oc.local.steps = 6;
-  oc.local.batch = 8;
+  SessionConfig cfg = base_cfg();
+  cfg.rounds = 22;
+  cfg.clients_per_round = 5;
+  cfg.local.steps = 6;
+  cfg.local.batch = 8;
+  FedAvgOptions oc;
   oc.overcommit = 0.6;
   oc.deadline_quantile = 0.6;
-  FedAvgRunner runner(init, data, fleet, oc);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, oc), data, fleet, cfg);
   runner.run();
-  EXPECT_GT(runner.mean_client_accuracy(), acc0 + 0.15);
+  EXPECT_GT(mean(runner.client_accuracy()), acc0 + 0.15);
 }
 
 TEST(OverSelectionTest, QuantileOneWithOvercommitTrimsToTargetCount) {
@@ -137,15 +151,18 @@ TEST(OverSelectionTest, QuantileOneWithOvercommitTrimsToTargetCount) {
   auto fleet = long_tail_fleet(data.num_clients());
   Rng rng(3);
   Model init(tiny_model(), rng);
-  FlRunConfig oc = base_cfg();
-  oc.rounds = 1;
+  SessionConfig cfg = base_cfg();
+  cfg.rounds = 1;
+  FedAvgOptions oc;
   oc.overcommit = 1.0;
-  FedAvgRunner runner(init, data, fleet, oc);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, oc), data, fleet, cfg);
   runner.run();
   // k on-time participants uploaded; the over-committed remainder only
   // downloaded. Uplink < downlink in byte accounting proves the trim.
   const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+      static_cast<double>(
+          runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double expected_down =
       model_bytes * (2.0 * base_cfg().clients_per_round);
   EXPECT_NEAR(runner.costs().network_bytes(),

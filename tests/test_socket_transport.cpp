@@ -266,7 +266,7 @@ TEST(SocketParityTest, FedAvgSocketLoopbackMatchesSimBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig on_sim;
+      SessionConfig on_sim;
       on_sim.rounds = 3;
       on_sim.clients_per_round = 4;
       on_sim.local.steps = 3;
@@ -275,23 +275,27 @@ TEST(SocketParityTest, FedAvgSocketLoopbackMatchesSimBitwise) {
       on_sim.eval_clients = 6;
       on_sim.seed = seed;
       on_sim.use_fabric = true;
-      FedAvgRunner a(init, data, fleet, on_sim);
+      FederationEngine a(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          on_sim);
       a.run();
 
-      FlRunConfig on_socket = on_sim;
+      SessionConfig on_socket = on_sim;
       SocketOptions chunky;
       chunky.read_chunk = 11;  // exercise reassembly on every frame
       chunky.write_chunk = 9;
       on_socket.with_socket_transport(chunky);
-      FedAvgRunner b(init, data, fleet, on_socket);
+      FederationEngine b(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          on_socket);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
       EXPECT_EQ(b.fabric()->transport().name(), "socket");
       EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
 
-      auto wa = a.model().weights();
-      auto wb = b.model().weights();
+      auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+      auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -325,17 +329,21 @@ TEST(SocketParityTest, FedTransSocketLoopbackMatchesSimBitwise) {
   cfg.seed = 13;
   cfg.use_fabric = true;
 
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_a = a.strategy_as<FedTransStrategy>();
   cfg.with_socket_transport();
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_b = b.strategy_as<FedTransStrategy>();
   a.run();
   b.run();
 
-  ASSERT_EQ(a.num_models(), b.num_models());
-  EXPECT_GE(a.num_models(), 2) << "transformation should have fired";
-  for (int k = 0; k < a.num_models(); ++k) {
-    auto wa = a.model(k).weights();
-    auto wb = b.model(k).weights();
+  ASSERT_EQ(fedtrans_a.num_models(), fedtrans_b.num_models());
+  EXPECT_GE(fedtrans_a.num_models(), 2) << "transformation should have fired";
+  for (int k = 0; k < fedtrans_a.num_models(); ++k) {
+    auto wa = fedtrans_a.model(k).weights();
+    auto wb = fedtrans_b.model(k).weights();
     ASSERT_EQ(wa.size(), wb.size());
     for (std::size_t i = 0; i < wa.size(); ++i)
       EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)

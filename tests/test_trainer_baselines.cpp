@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/stats.hpp"
 #include "baselines/fluid.hpp"
 #include "baselines/hetero_fl.hpp"
 #include "baselines/split_mix.hpp"
@@ -53,40 +54,45 @@ FedTransConfig fast_cfg() {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-TEST(FedTransTrainer, SpawnsModelsWhenElbowForced) {
+TEST(FedTrans, SpawnsModelsWhenElbowForced) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer trainer(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  auto& fedtrans = trainer.strategy_as<FedTransStrategy>();
   trainer.run();
-  EXPECT_GE(trainer.num_models(), 2);
-  EXPECT_EQ(trainer.transforms_done(), trainer.num_models() - 1);
+  EXPECT_GE(fedtrans.num_models(), 2);
+  EXPECT_EQ(fedtrans.transforms_done(), fedtrans.num_models() - 1);
   // Children are strictly larger.
-  for (int i = 1; i < trainer.num_models(); ++i)
-    EXPECT_GT(trainer.model(i).macs(), trainer.model(i - 1).macs());
+  for (int i = 1; i < fedtrans.num_models(); ++i)
+    EXPECT_GT(fedtrans.model(i).macs(), fedtrans.model(i - 1).macs());
 }
 
-TEST(FedTransTrainer, NoTransformWhenDisabled) {
+TEST(FedTrans, NoTransformWhenDisabled) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.enable_transform = false;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
   trainer.run();
-  EXPECT_EQ(trainer.num_models(), 1);
+  EXPECT_EQ(trainer.strategy_as<FedTransStrategy>().num_models(), 1);
 }
 
-TEST(FedTransTrainer, RespectsMaxModels) {
+TEST(FedTrans, RespectsMaxModels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 1e9);
   auto cfg = fast_cfg();
   cfg.rounds = 20;
   cfg.max_models = 2;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
   trainer.run();
-  EXPECT_LE(trainer.num_models(), 2);
+  EXPECT_LE(trainer.strategy_as<FedTransStrategy>().num_models(), 2);
 }
 
-TEST(FedTransTrainer, StopsGrowingAtFleetCeiling) {
+TEST(FedTrans, StopsGrowingAtFleetCeiling) {
   auto data = FederatedDataset::generate(tiny_data());
   // Tight fleet: even one doubling overshoots every device.
   Rng tmp(1);
@@ -97,34 +103,42 @@ TEST(FedTransTrainer, StopsGrowingAtFleetCeiling) {
     d.bandwidth_bytes_per_s = 1e6;
     d.capacity_macs = m0 * 1.05;
   }
-  FedTransTrainer trainer(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
   trainer.run();
-  EXPECT_EQ(trainer.num_models(), 1);  // child would exceed every client
+  EXPECT_EQ(
+      trainer.strategy_as<FedTransStrategy>().num_models(),
+      1);  // child would exceed every client
 }
 
-TEST(FedTransTrainer, NeverAssignsIncompatibleModels) {
+TEST(FedTrans, NeverAssignsIncompatibleModels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer trainer(tiny_model(), data, fleet, fast_cfg());
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  auto& fedtrans = trainer.strategy_as<FedTransStrategy>();
   trainer.run();
-  auto ev = trainer.evaluate_final();
-  const auto& cm = trainer.client_manager();
+  auto ev = fedtrans.evaluate_final();
+  const auto& cm = fedtrans.client_manager();
   for (int c = 0; c < data.num_clients(); ++c) {
     const int k = ev.client_model[static_cast<std::size_t>(c)];
     if (k == 0) continue;  // initial model is the sanctioned fallback
-    EXPECT_LE(static_cast<double>(trainer.model(k).macs()), cm.capacity(c));
+    EXPECT_LE(static_cast<double>(fedtrans.model(k).macs()), cm.capacity(c));
   }
 }
 
-TEST(FedTransTrainer, LearnsAndReportsCosts) {
+TEST(FedTrans, LearnsAndReportsCosts) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.rounds = 18;
   cfg.local.steps = 10;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
   trainer.run();
-  auto ev = trainer.evaluate_final();
+  auto ev = trainer.strategy_as<FedTransStrategy>().evaluate_final();
   EXPECT_GT(ev.mean_accuracy, 0.3);  // 4 classes, random = 0.25
   EXPECT_GT(trainer.costs().total_macs(), 0.0);
   EXPECT_GT(trainer.costs().network_bytes(), 0.0);
@@ -134,7 +148,7 @@ TEST(FedTransTrainer, LearnsAndReportsCosts) {
             static_cast<std::size_t>(data.num_clients()));
 }
 
-TEST(FedTransTrainer, AblationFlagsAllRun) {
+TEST(FedTrans, AblationFlagsAllRun) {
   auto data = FederatedDataset::generate(tiny_data(8));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   for (int variant = 0; variant < 5; ++variant) {
@@ -145,24 +159,30 @@ TEST(FedTransTrainer, AblationFlagsAllRun) {
     cfg.enable_warmup = variant < 3;
     cfg.enable_decay = variant < 4;
     cfg.enable_l2s = variant == 4;
-    FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+    FederationEngine trainer(
+        std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet,
+        cfg);
     EXPECT_NO_THROW(trainer.run()) << "variant " << variant;
-    EXPECT_NO_THROW(trainer.evaluate_final());
+    EXPECT_NO_THROW(trainer.strategy_as<FedTransStrategy>().evaluate_final());
   }
 }
 
-TEST(FedTransTrainer, DeterministicForSeed) {
+TEST(FedTrans, DeterministicForSeed) {
   auto data = FederatedDataset::generate(tiny_data(8));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.rounds = 6;
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_a = a.strategy_as<FedTransStrategy>();
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans_b = b.strategy_as<FedTransStrategy>();
   a.run();
   b.run();
-  EXPECT_EQ(a.num_models(), b.num_models());
-  EXPECT_DOUBLE_EQ(a.evaluate_final().mean_accuracy,
-                   b.evaluate_final().mean_accuracy);
+  EXPECT_EQ(fedtrans_a.num_models(), fedtrans_b.num_models());
+  EXPECT_DOUBLE_EQ(fedtrans_a.evaluate_final().mean_accuracy,
+                   fedtrans_b.evaluate_final().mean_accuracy);
 }
 
 // ----------------------------------------------------------- HeteroFL ---
@@ -170,12 +190,14 @@ TEST(FedTransTrainer, DeterministicForSeed) {
 TEST(HeteroFL, SubmodelIsPrefixCropOfGlobal) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 2;
-  HeteroFLRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg);
-  Model sub = runner.submodel(1);  // half width
-  auto pairs = align_params(sub, runner.global());
+  FederationEngine runner(
+      std::make_unique<HeteroFLStrategy>(ModelSpec::conv(1, 8, 4, 8, {8, 16})),
+      data, fleet, cfg);
+  auto& heterofl = runner.strategy_as<HeteroFLStrategy>();
+  Model sub = heterofl.submodel(1);  // half width
+  auto pairs = align_params(sub, heterofl.global());
   ASSERT_FALSE(pairs.empty());
   for (auto& p : pairs)
     for_each_overlap(*p.dst, *p.src, [&](std::int64_t di, std::int64_t si) {
@@ -186,13 +208,15 @@ TEST(HeteroFL, SubmodelIsPrefixCropOfGlobal) {
 TEST(HeteroFL, LevelAssignmentFitsCapacity) {
   auto data = FederatedDataset::generate(tiny_data(10));
   auto fleet = fleet_with_capacity(data.num_clients(), 3e5);
-  BaselineConfig cfg;
-  HeteroFLRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg);
+  SessionConfig cfg;
+  FederationEngine runner(
+      std::make_unique<HeteroFLStrategy>(ModelSpec::conv(1, 8, 4, 8, {8, 16})),
+      data, fleet, cfg);
+  auto& heterofl = runner.strategy_as<HeteroFLStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
-    const int lvl = runner.level_for(c);
-    Model sub = runner.submodel(lvl);
-    if (lvl < runner.num_levels() - 1) {  // deepest level is the fallback
+    const int lvl = heterofl.level_for(c);
+    Model sub = heterofl.submodel(lvl);
+    if (lvl < heterofl.num_levels() - 1) {  // deepest level is the fallback
       EXPECT_LE(static_cast<double>(sub.macs()),
                 fleet[static_cast<std::size_t>(c)].capacity_macs);
     }
@@ -202,18 +226,18 @@ TEST(HeteroFL, LevelAssignmentFitsCapacity) {
 TEST(HeteroFL, TrainsAndImproves) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 2e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 12;
   cfg.clients_per_round = 5;
   cfg.local.steps = 8;
   cfg.local.batch = 8;
-  HeteroFLRunner runner(ModelSpec::conv(1, 8, 4, 6, {8, 12}), data, fleet,
-                        cfg);
-  auto before = runner.report().mean_accuracy;
+  FederationEngine runner(
+      std::make_unique<HeteroFLStrategy>(ModelSpec::conv(1, 8, 4, 6, {8, 12})),
+      data, fleet, cfg);
+  auto before = mean(runner.client_accuracy());
   runner.run();
-  auto rep = runner.report();
-  EXPECT_GT(rep.mean_accuracy, before);
-  EXPECT_GT(rep.costs.total_macs(), 0.0);
+  EXPECT_GT(mean(runner.client_accuracy()), before);
+  EXPECT_GT(runner.costs().total_macs(), 0.0);
 }
 
 // ----------------------------------------------------------- SplitMix ---
@@ -221,29 +245,33 @@ TEST(HeteroFL, TrainsAndImproves) {
 TEST(SplitMix, BudgetClampedToBaseCount) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e8);
-  BaselineConfig cfg;
-  SplitMixRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg, /*num_bases=*/4);
+  SessionConfig cfg;
+  FederationEngine runner(
+      std::make_unique<SplitMixStrategy>(
+          ModelSpec::conv(1, 8, 4, 8, {8, 16}), /*num_bases=*/4),
+      data, fleet, cfg);
+  auto& splitmix = runner.strategy_as<SplitMixStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
-    EXPECT_GE(runner.budget_for(c), 1);
-    EXPECT_LE(runner.budget_for(c), 4);
+    EXPECT_GE(splitmix.budget_for(c), 1);
+    EXPECT_LE(splitmix.budget_for(c), 4);
   }
 }
 
 TEST(SplitMix, TrainsAndReports) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 2e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 8;
   cfg.clients_per_round = 4;
   cfg.local.steps = 6;
-  SplitMixRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg, 4);
+  FederationEngine runner(
+      std::make_unique<SplitMixStrategy>(
+          ModelSpec::conv(1, 8, 4, 8, {8, 16}), 4),
+      data, fleet, cfg);
   runner.run();
-  auto rep = runner.report();
-  EXPECT_EQ(rep.client_accuracy.size(),
+  EXPECT_EQ(runner.client_accuracy().size(),
             static_cast<std::size_t>(data.num_clients()));
-  EXPECT_GT(rep.costs.network_bytes(), 0.0);
+  EXPECT_GT(runner.costs().network_bytes(), 0.0);
 }
 
 // -------------------------------------------------------------- FLuID ---
@@ -251,10 +279,12 @@ TEST(SplitMix, TrainsAndReports) {
 TEST(Fluid, RatioRespectsCapacityGrid) {
   auto data = FederatedDataset::generate(tiny_data(8));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e5);
-  BaselineConfig cfg;
-  FluidRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet, cfg);
+  SessionConfig cfg;
+  FederationEngine runner(
+      std::make_unique<FluidStrategy>(ModelSpec::conv(1, 8, 4, 8, {8, 16})),
+      data, fleet, cfg);
   for (int c = 0; c < data.num_clients(); ++c) {
-    const double r = runner.ratio_for(c);
+    const double r = runner.strategy_as<FluidStrategy>().ratio_for(c);
     EXPECT_GE(r, 0.05);
     EXPECT_LE(r, 1.0);
   }
@@ -263,40 +293,46 @@ TEST(Fluid, RatioRespectsCapacityGrid) {
 TEST(Fluid, ExtractFullRatioEqualsGlobal) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e9);
-  BaselineConfig cfg;
-  FluidRunner runner(ModelSpec::conv(1, 8, 4, 6, {8, 12}), data, fleet, cfg);
+  SessionConfig cfg;
+  FederationEngine runner(
+      std::make_unique<FluidStrategy>(ModelSpec::conv(1, 8, 4, 6, {8, 12})),
+      data, fleet, cfg);
   // Every client's ratio is 1.0 under this fleet: extraction = identity.
   Rng rng(3);
   Tensor x({2, 1, 8, 8});
   x.randn(rng);
   // ratio 1.0 keeps all channels; outputs must match the global model.
   for (int c = 0; c < 2; ++c) {
-    ASSERT_DOUBLE_EQ(runner.ratio_for(c), 1.0);
+    ASSERT_DOUBLE_EQ(runner.strategy_as<FluidStrategy>().ratio_for(c), 1.0);
   }
   runner.run_round();  // also exercises merge with full coverage
-  EXPECT_EQ(runner.report().client_accuracy.size(),
+  EXPECT_EQ(runner.client_accuracy().size(),
             static_cast<std::size_t>(data.num_clients()));
 }
 
 TEST(Fluid, TrainsAndImproves) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 2e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 12;
   cfg.clients_per_round = 5;
   cfg.local.steps = 8;
-  FluidRunner runner(ModelSpec::conv(1, 8, 4, 6, {8, 12}), data, fleet, cfg);
-  auto before = runner.report().mean_accuracy;
+  FederationEngine runner(
+      std::make_unique<FluidStrategy>(ModelSpec::conv(1, 8, 4, 6, {8, 12})),
+      data, fleet, cfg);
+  auto before = mean(runner.client_accuracy());
   runner.run();
-  EXPECT_GT(runner.report().mean_accuracy, before);
+  EXPECT_GT(mean(runner.client_accuracy()), before);
 }
 
 TEST(Fluid, RejectsNonConvModels) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   EXPECT_THROW(
-      FluidRunner(ModelSpec::mlp(64, 4, 8, {16}), data, fleet, cfg), Error);
+      FederationEngine(
+          std::make_unique<FluidStrategy>(ModelSpec::mlp(64, 4, 8, {16})), data,
+          fleet, cfg), Error);
 }
 
 }  // namespace

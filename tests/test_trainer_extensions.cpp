@@ -1,4 +1,4 @@
-// Integration tests for FedTransTrainer with the extension knobs: pluggable
+// Integration tests for FedTransStrategy with the extension knobs: pluggable
 // participant selection and alternative server optimizers, plus checkpoint
 // interaction with a stateful selector.
 
@@ -58,10 +58,12 @@ TEST(TrainerSelectorTest, OortSelectorTrainsAndTransforms) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.selector = SelectorKind::Oort;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  auto& fedtrans = trainer.strategy_as<FedTransStrategy>();
   trainer.run();
-  EXPECT_GE(trainer.num_models(), 2);
-  auto ev = trainer.evaluate_final();
+  EXPECT_GE(fedtrans.num_models(), 2);
+  auto ev = fedtrans.evaluate_final();
   EXPECT_GT(ev.mean_accuracy, 0.0);
 }
 
@@ -71,8 +73,12 @@ TEST(TrainerSelectorTest, SelectorChangesParticipantTrajectory) {
   auto uniform_cfg = fast_cfg();
   auto oort_cfg = fast_cfg();
   oort_cfg.selector = SelectorKind::Oort;
-  FedTransTrainer a(tiny_model(), data, fleet, uniform_cfg);
-  FedTransTrainer b(tiny_model(), data, fleet, oort_cfg);
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), uniform_cfg), data,
+      fleet, uniform_cfg);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), oort_cfg), data, fleet,
+      oort_cfg);
   a.run();
   b.run();
   // Different selection → different training trajectories (loss history).
@@ -88,14 +94,16 @@ TEST(TrainerSelectorTest, CheckpointRoundTripsOortState) {
   auto cfg = fast_cfg();
   cfg.selector = SelectorKind::Oort;
 
-  FedTransTrainer ref(tiny_model(), data, fleet, cfg);
+  FederationEngine ref(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
   for (int r = 0; r < 5; ++r) ref.run_round();
   std::stringstream ss;
-  ref.save_checkpoint(ss);
+  save_checkpoint(ref, ss);
   for (int r = 0; r < 5; ++r) ref.run_round();
 
-  FedTransTrainer resumed(tiny_model(), data, fleet, cfg);
-  resumed.load_checkpoint(ss);
+  FederationEngine resumed(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
+  load_checkpoint(resumed, ss);
   for (int r = 0; r < 5; ++r) resumed.run_round();
 
   // Oort's exploration state must be part of the checkpoint, or the resumed
@@ -111,9 +119,10 @@ TEST(TrainerServerOptTest, FedAdamComposesWithFedTrans) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.server_opt = ServerOptKind::FedAdam;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet, cfg);
   trainer.run();
-  EXPECT_GE(trainer.num_models(), 2);
+  EXPECT_GE(trainer.strategy_as<FedTransStrategy>().num_models(), 2);
   // Loss must broadly decrease from the first to the last third of rounds.
   const auto& h = trainer.history();
   double early = 0.0, late = 0.0;
@@ -133,7 +142,9 @@ TEST(TrainerServerOptTest, EveryServerOptKindRunsToCompletion) {
     auto cfg = fast_cfg();
     cfg.rounds = 4;
     cfg.server_opt = kind;
-    FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+    FederationEngine trainer(
+        std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet,
+        cfg);
     trainer.run();
     EXPECT_EQ(trainer.rounds_done(), 4) << server_opt_name(kind);
   }

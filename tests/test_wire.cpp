@@ -7,6 +7,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -679,6 +680,127 @@ TEST(WireTest, DeltaModelDownRequiresMatchingBase) {
   // in frames_rejected territory — never silently wrong weights.
   EXPECT_THROW(decode_message(frame), Error);
   EXPECT_THROW(decode_message(frame, &prev, 11), Error);
+}
+
+// Forged counts: every u32 count a decoder reads is checked against the
+// bytes left in the frame before anything is allocated for it. Each case
+// below builds a checksummed frame (or section) whose count is 2^32 - 1
+// and requires the count guard itself to reject it — a decoder that
+// reserved first would throw std::length_error / std::bad_alloc instead,
+// or try to allocate hundreds of gigabytes.
+
+constexpr std::uint32_t kForgedCount = 0xffffffffu;
+
+template <typename Fn>
+void expect_count_rejected(Fn&& decode, const char* what) {
+  try {
+    decode();
+    ADD_FAILURE() << what << ": forged count was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the remaining frame bytes"),
+              std::string::npos)
+        << what << " failed somewhere other than its count guard: "
+        << e.what();
+  }
+}
+
+/// PartialUp payload prefix: shard, mode byte, and (reduced) quant byte.
+std::ostringstream partial_up_prefix(bool reduced, std::uint8_t quant = 0) {
+  std::ostringstream os(std::ios::binary);
+  write_pod<std::int32_t>(os, 0);
+  write_pod<std::uint8_t>(os, reduced ? 1 : 0);
+  if (reduced) write_pod<std::uint8_t>(os, quant);
+  return os;
+}
+
+/// ShardDown payload prefix: shard and leaf range [0, 1).
+std::ostringstream shard_down_prefix() {
+  std::ostringstream os(std::ios::binary);
+  write_pod<std::int32_t>(os, 0);
+  write_pod<std::int32_t>(os, 0);
+  write_pod<std::int32_t>(os, 1);
+  return os;
+}
+
+std::string padded(std::ostringstream& os) {
+  return os.str() + std::string(64, '\0');  // some bytes, far too few
+}
+
+TEST(WireTest, ForgedWeightSetCountIsRejectedBeforeAllocating) {
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  write_pod<std::uint32_t>(ss, kForgedCount);
+  ss << std::string(64, '\0');
+  expect_count_rejected([&] { read_weight_set(ss); }, "weight set");
+}
+
+TEST(WireTest, ForgedInt8GroupSumCountsAreRejectedBeforeAllocating) {
+  // A reduced int8 bundle with no entries and one group whose tensor
+  // count is forged...
+  auto os = partial_up_prefix(true, kPartialQuantInt8);
+  write_pod<std::uint32_t>(os, 0);  // entries
+  write_pod<std::uint32_t>(os, 1);  // groups
+  write_pod<std::int32_t>(os, 0);   // key
+  write_pod<std::int32_t>(os, 0);   // min_slot
+  write_pod<std::int32_t>(os, 1);   // count
+  write_pod<double>(os, 1.0);       // weight
+  write_pod<float>(os, 0.5f);       // scale
+  std::ostringstream forged_tensors(os.str(), std::ios::ate | std::ios::binary);
+  write_pod<std::uint32_t>(forged_tensors, kForgedCount);
+  const std::string a = encode_frame(MsgType::PartialUp, 1, aggregator_id(0),
+                                     kServerId, padded(forged_tensors));
+  expect_count_rejected([&] { decode_partial_up(a); }, "int8 tensor count");
+
+  // ...and one whose single tensor claims 65536 x 65536 one-byte codes.
+  std::ostringstream forged_shape(os.str(), std::ios::ate | std::ios::binary);
+  write_pod<std::uint32_t>(forged_shape, 1);       // tensors
+  write_pod<std::uint32_t>(forged_shape, 2);       // rank
+  write_pod<std::int32_t>(forged_shape, 1 << 16);  // dims
+  write_pod<std::int32_t>(forged_shape, 1 << 16);
+  const std::string b = encode_frame(MsgType::PartialUp, 1, aggregator_id(0),
+                                     kServerId, padded(forged_shape));
+  expect_count_rejected([&] { decode_partial_up(b); }, "int8 tensor shape");
+}
+
+TEST(WireTest, ForgedPartialUpCountsAreRejectedBeforeAllocating) {
+  auto entries = partial_up_prefix(false);
+  write_pod<std::uint32_t>(entries, kForgedCount);
+  const std::string a = encode_frame(MsgType::PartialUp, 1, aggregator_id(0),
+                                     kServerId, padded(entries));
+  expect_count_rejected([&] { decode_partial_up(a); }, "PartialUp entries");
+
+  auto groups = partial_up_prefix(true);
+  write_pod<std::uint32_t>(groups, 0);  // entries
+  write_pod<std::uint32_t>(groups, kForgedCount);
+  const std::string b = encode_frame(MsgType::PartialUp, 1, aggregator_id(0),
+                                     kServerId, padded(groups));
+  expect_count_rejected([&] { decode_partial_up(b); }, "PartialUp groups");
+}
+
+TEST(WireTest, ForgedShardDownCountsAreRejectedBeforeAllocating) {
+  auto bodies = shard_down_prefix();
+  write_pod<std::uint32_t>(bodies, kForgedCount);
+  const std::string a = encode_frame(MsgType::ShardDown, 1, kServerId,
+                                     aggregator_id(0), padded(bodies));
+  expect_count_rejected([&] { decode_shard_down(a); }, "ShardDown bodies");
+
+  auto tasks = shard_down_prefix();
+  write_pod<std::uint32_t>(tasks, 0);  // bodies
+  write_pod<std::uint32_t>(tasks, kForgedCount);
+  const std::string b = encode_frame(MsgType::ShardDown, 1, kServerId,
+                                     aggregator_id(0), padded(tasks));
+  expect_count_rejected([&] { decode_shard_down(b); }, "ShardDown tasks");
+}
+
+TEST(WireTest, ForgedWeightDeltaCountIsRejectedBeforeAllocating) {
+  Rng rng(83);
+  WeightSet prev = random_weight_set(rng, 4);
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  write_pod<std::uint64_t>(ss, 5);  // base version
+  write_pod<std::uint32_t>(ss, kForgedCount);
+  ss << std::string(64, '\0');
+  std::uint64_t base = 0;
+  expect_count_rejected([&] { read_weight_delta(ss, prev, base); },
+                        "weight-delta sections");
 }
 
 TEST(WireTest, BadMagicAndVersionAreRejected) {
