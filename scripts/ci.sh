@@ -22,9 +22,16 @@
 #     (test_socket_transport), the telemetry layer (test_obs), the engine
 #     golden (test_engine_golden) and the checkpoint decoder, which reads
 #     bytes from disk (test_checkpoint);
+#   * a ThreadSanitizer build (-fsanitize=thread passed through the compile
+#     and link flags) running the concurrent code: the federation server,
+#     whose sync rounds poll client agents and whose async sessions train
+#     their in-flight clients on the shared ThreadPool (test_fabric,
+#     test_fabric_golden), the socket transport (test_socket_transport),
+#     the pool-parallel kernels (test_backend) and the per-thread telemetry
+#     shards (test_obs);
 #   * a SIMD-disabled build (FEDTRANS_SIMD=OFF, still -Werror) proving the
 #     scalar parity reference compiles warnings-clean on its own.
-# Set FEDTRANS_CI_FAST=1 to skip both auxiliary legs.
+# Set FEDTRANS_CI_FAST=1 to skip the auxiliary legs.
 #
 # Usage: scripts/ci.sh [extra ctest args...]
 #   BUILD_DIR  build directory   (default: build)
@@ -77,6 +84,18 @@ if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
     test_checkpoint test_socket_transport
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
     -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|train_golden|wire|fabric|fabric_golden|obs|engine_golden|checkpoint|socket_transport)$'
+
+  # ThreadSanitizer over the code that runs on several threads at once:
+  # any data race it reports fails the leg (halt_on_error).
+  TSAN_DIR="$BUILD_DIR-tsan"
+  cmake -B "$TSAN_DIR" -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target \
+    test_fabric test_fabric_golden test_socket_transport test_backend \
+    test_obs
+  TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "$TSAN_DIR" \
+    --output-on-failure -j "$JOBS" \
+    -R 'test_(fabric|fabric_golden|socket_transport|backend|obs)$'
 
   # Scalar-only build: the always-on parity reference must stay
   # warnings-clean without any SIMD code paths compiled in, and reproduce

@@ -149,7 +149,15 @@ void load_checkpoint(FederationEngine& engine, std::istream& is) {
   s.next_model_id_ = read_pod<std::int32_t>(is);
   s.exhausted_ = read_pod<std::uint8_t>(is) != 0;
 
+  // A record is at least its fixed fields plus an empty client list's
+  // count; a history count the remaining bytes cannot hold is corrupt and
+  // fails here, before anything is reserved for it.
+  constexpr std::uint64_t kMinRecordBytes =
+      5 * sizeof(std::int32_t) + 5 * sizeof(double) + sizeof(std::uint64_t);
   const auto n_hist = read_pod<std::uint64_t>(is);
+  FT_CHECK_MSG(n_hist <= stream_remaining(is) / kMinRecordBytes,
+               "checkpoint history count " << n_hist
+                                           << " exceeds the remaining bytes");
   auto& history = engine.history_mutable();
   history.clear();
   history.reserve(static_cast<std::size_t>(n_hist));

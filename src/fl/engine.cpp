@@ -474,9 +474,10 @@ void FederationEngine::run_async() {
     in_flight_.pop();
     now_s_ = job.finish_s;
 
-    // The client trains from the weights it downloaded at dispatch time.
-    // The simulation trains lazily at completion instead of keeping
-    // per-client snapshots; staleness enters through the FedBuff discount.
+    // The client trains lazily at completion, from the *current* shared
+    // weights, not from a snapshot taken at dispatch: in-process clients
+    // never train on stale weights, and staleness enters only through the
+    // FedBuff discount.
     Model local = strategy_->client_payload(ClientTask{job.client, 0});
     Rng crng = rng_.fork();
     LocalTrainResult res = byzantine_local_train(
@@ -510,15 +511,24 @@ void FederationEngine::run_async() {
 }
 
 void FederationEngine::run_async_fabric() {
-  // FedBuff over real messages: every dispatch is a wire-level ModelDown /
-  // UpdateUp round trip through the FederationServer, and the event loop
-  // orders completions by the *server-side delivery instant* of each
-  // UpdateUp — uplink latency, retries and reordering all shift when an
-  // update is folded in, unlike the in-process approximation (which orders
-  // by client finish time and forks Rngs at completion; the two modes are
-  // deliberately distinct simulations, not bitwise twins). The staleness
-  // here is also more faithful: weights ride the ModelDown frame, so a
+  // FedBuff over real messages: every dispatch sends a wire-level ModelDown
+  // through the FederationServer, and the event loop orders completions by
+  // the *server-side delivery instant* of each UpdateUp — uplink latency,
+  // retries and reordering all shift when an update is folded in, unlike
+  // the in-process approximation (which orders by client finish time and
+  // forks Rngs at completion; the two modes are deliberately distinct
+  // simulations, not bitwise twins). Weights ride the ModelDown frame, so a
   // client trains on the snapshot it downloaded at dispatch time.
+  //
+  // A round trip runs in three steps. Dispatch is the downlink only; its
+  // event is pushed at a provisional time, a lower bound known without
+  // training. When the earliest event is still provisional, every job
+  // dispatched since the last batch trains at once on the pool, and the
+  // batch's uplinks then run (and are billed) strictly in dispatch order,
+  // each event moving to its true time. A true time is never earlier than
+  // its provisional one, so events still pop in (time, job) order, and
+  // every link keeps the frame order of one whole round trip per dispatch:
+  // the result is bitwise independent of how jobs are batched.
   Model* shared = strategy_->shared_model();
   FT_CHECK_MSG(shared != nullptr,
                "async scheduling requires a shared-model strategy");
@@ -540,21 +550,25 @@ void FederationEngine::run_async_fabric() {
   // One pending server-side event per in-flight client: either the arrival
   // of its UpdateUp, or the ack-timeout at which the server gives up on it
   // (the update was lost despite retries, or lands too late to count).
+  // Until its job has trained, `t` is provisional: the earlier of training
+  // done and the ack-timeout.
   struct Pending {
     double t = 0.0;
     std::uint32_t job = 0;
     int client = 0;
     int version = 0;
+    bool settled = false;
     bool arrival = false;
     double macs_wasted = 0.0;
     LocalTrainResult res;  // valid iff arrival
   };
+  // A min-heap on (t, job): ties break in dispatch order.
   auto later = [](const Pending& a, const Pending& b) {
     if (a.t != b.t) return a.t > b.t;
-    return a.job > b.job;  // deterministic tie-break: dispatch order
+    return a.job > b.job;
   };
-  std::priority_queue<Pending, std::vector<Pending>, decltype(later)>
-      pending(later);
+  std::vector<Pending> pending;
+  std::vector<AsyncJob> untrained;  // dispatched since the last batch
   std::uint32_t next_job = 0;
   int lost_since_ship = 0;
   int failovers_since_ship = 0;
@@ -562,32 +576,52 @@ void FederationEngine::run_async_fabric() {
   auto dispatch = [&] {
     const int c = rng_.uniform_int(0, data_.num_clients() - 1);
     Rng crng = rng_.fork();
-    AsyncTurnaround turn = fabric_->async_exchange(
+    AsyncJob job = fabric_->async_downlink(
         next_job, c, quantized_for_wire(shared->weights(), cfg_.local.precision),
         crng, now_s_);
-    if (turn.retry_up_bytes > 0.0)
-      costs_.add_transfer(0.0, turn.retry_up_bytes);
-    costs_.add_client_round_time(turn.busy_s);
     // A dead leaf re-routed this job through a sibling; surface it on the
     // next shipped version's record, mirroring the sync path's accounting.
-    if (turn.failed_over) ++failovers_since_ship;
+    if (job.failed_over) ++failovers_since_ship;
     Pending p;
     p.job = next_job++;
     p.client = c;
     p.version = version_;
-    if (turn.outcome == ClientOutcome::Trained &&
-        turn.update_at_s <= now_s_ + deadline_s) {
-      p.arrival = true;
-      p.t = turn.update_at_s;
-      p.res = std::move(turn.res);
-    } else {
-      p.arrival = false;
-      p.t = now_s_ + deadline_s;
-      p.macs_wasted = turn.outcome == ClientOutcome::LostDown
-                          ? 0.0
-                          : turn.res.macs_used;
+    p.t = now_s_ + deadline_s;
+    p.settled = !job.delivered;  // LostDown: an ack-timeout, nothing wasted
+    if (job.delivered) p.t = std::min(job.down_at_s + job.compute_s, p.t);
+    pending.push_back(std::move(p));
+    std::push_heap(pending.begin(), pending.end(), later);
+    untrained.push_back(std::move(job));
+  };
+
+  // Train the batch, then bill each turnaround and settle its event in
+  // dispatch order.
+  auto complete = [&] {
+    if (untrained.empty()) return;
+    std::vector<AsyncTurnaround> turns = fabric_->async_complete(untrained);
+    for (const AsyncTurnaround& turn : turns) {
+      if (turn.retry_up_bytes > 0.0)
+        costs_.add_transfer(0.0, turn.retry_up_bytes);
+      costs_.add_client_round_time(turn.busy_s);
     }
-    pending.push(std::move(p));
+    const std::uint32_t first = untrained.front().job;
+    for (Pending& p : pending) {
+      if (p.settled) continue;
+      AsyncTurnaround& turn = turns[p.job - first];
+      const double give_up_s = untrained[p.job - first].sent_at_s + deadline_s;
+      p.settled = true;
+      if (turn.outcome == ClientOutcome::Trained &&
+          turn.update_at_s <= give_up_s) {
+        p.arrival = true;
+        p.t = turn.update_at_s;
+        p.res = std::move(turn.res);
+      } else {
+        p.t = give_up_s;
+        p.macs_wasted = turn.res.macs_used;
+      }
+    }
+    std::make_heap(pending.begin(), pending.end(), later);
+    untrained.clear();
   };
 
   // Zero-progress guard: if the deadline is shorter than every client's
@@ -602,11 +636,13 @@ void FederationEngine::run_async_fabric() {
   for (int i = 0; i < cfg_.async.concurrency; ++i) dispatch();
   while (version_ < cfg_.async.aggregations) {
     FT_CHECK_MSG(!pending.empty(), "async scheduler starved");
-    // Move the event out (top() is const only to protect heap order, which
-    // pop() discards anyway) — the delta is model-sized, a copy per
-    // absorbed update would be pure memcpy waste.
-    Pending ev = std::move(const_cast<Pending&>(pending.top()));
-    pending.pop();
+    if (!pending.front().settled) {
+      complete();
+      continue;
+    }
+    std::pop_heap(pending.begin(), pending.end(), later);
+    Pending ev = std::move(pending.back());
+    pending.pop_back();
     now_s_ = ev.t;
 
     if (ev.arrival) {
@@ -651,6 +687,9 @@ void FederationEngine::run_async_fabric() {
     }
     dispatch();
   }
+  // The clients still in flight were dispatched, so they train and upload:
+  // their traffic and device time are billed like every other job's.
+  complete();
 }
 
 double FederationEngine::mean_staleness() const {

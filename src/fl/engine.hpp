@@ -276,9 +276,11 @@ class FederationEngine {
  private:
   RoundContext make_context();
   void run_async();
-  /// FedBuff's event loop over real fabric messages: completions are
-  /// ordered by the server-side delivery instant of each UpdateUp, lost
-  /// updates hit an ack-timeout and are replaced.
+  /// FedBuff's event loop over real fabric messages: dispatch sends the
+  /// ModelDown, the clients in flight train as one parallel batch, and
+  /// their uplinks run in dispatch order. Completions are ordered by the
+  /// server-side delivery instant of each UpdateUp; lost updates hit an
+  /// ack-timeout and are replaced.
   void run_async_fabric();
   void dispatch_async();
   /// Periodic accuracy probe shared by both modes: fills rec.accuracy when

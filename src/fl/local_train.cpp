@@ -7,6 +7,10 @@
 
 namespace fedtrans {
 
+double local_train_macs(const Model& model, const LocalTrainConfig& cfg) {
+  return 3.0 * static_cast<double>(model.macs()) * cfg.steps * cfg.batch;
+}
+
 LocalTrainResult local_train(Model& model, const ClientData& data,
                              const LocalTrainConfig& cfg, Rng& rng) {
   FT_CHECK_MSG(data.train_size() > 0, "local_train on empty client shard");
@@ -45,8 +49,7 @@ LocalTrainResult local_train(Model& model, const ClientData& data,
       for (auto& p : model.params()) p.value->quantize_storage(prec.dtype);
   }
   res.avg_loss = loss_sum / cfg.steps;
-  res.macs_used = 3.0 * static_cast<double>(model.macs()) * cfg.steps *
-                  cfg.batch;
+  res.macs_used = local_train_macs(model, cfg);
 
   res.delta = std::move(start);
   WeightSet end = model.weights();

@@ -32,6 +32,11 @@ struct LocalTrainResult {
   double macs_used = 0.0;
 };
 
+/// Training compute one local_train run spends on `model`: 3 × MACs ×
+/// steps × batch. A pure function of the architecture, known before the
+/// client trains.
+double local_train_macs(const Model& model, const LocalTrainConfig& cfg);
+
 /// Run local SGD on `model` (entered with the server weights, leaves with
 /// the locally updated ones) over the client's train shard.
 LocalTrainResult local_train(Model& model, const ClientData& data,

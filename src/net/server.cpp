@@ -1141,16 +1141,16 @@ ExchangeResult FederationServer::run_round(
   return exchange(round, clients, client_rngs, reduce_keys, slot_body);
 }
 
-AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
-                                                 int client,
-                                                 const WeightSet& global,
-                                                 const Rng& rng,
-                                                 double now_s) {
-  FT_SPAN_ARG("server", "async_exchange", "client", client);
+AsyncJob FederationServer::async_downlink(std::uint32_t job, int client,
+                                          const WeightSet& global,
+                                          const Rng& rng, double now_s) {
+  FT_SPAN_ARG("server", "async_downlink", "client", client);
   FT_CHECK_MSG(client >= 0 && client < num_clients(),
                "async dispatch to unknown client " << client);
-  AsyncTurnaround t;
-  const std::uint64_t retry0 = net_->stats().retry_bytes_up.load();
+  AsyncJob j;
+  j.job = job;
+  j.client = client;
+  j.sent_at_s = now_s;
 
   // Route: hop through the tree's nodes from tier 1 down to the client's
   // leaf partition (leaf = client % leaves, failover applied per job) on
@@ -1159,15 +1159,14 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   // fabric the root is the leaf and the chain is empty.
   const int part = client % tree_.leaves();
   const int owner = owner_leaf(job, part);
-  if (owner < 0) return t;  // whole fault domain down: LostDown
+  if (owner < 0) return j;  // whole fault domain down: LostDown
   if (owner != part) {
-    t.failed_over = true;
+    j.failed_over = true;
     net_->stats_mutable().leaf_failovers.fetch_add(1,
                                                    std::memory_order_relaxed);
   }
-  std::vector<std::int32_t> chain;  // tier-1-to-leaf aggregator endpoints
   for (int tier = 1; tier < tree_.levels(); ++tier)
-    chain.push_back(tree_.node_id(tier, tree_.node_covering(tier, owner)));
+    j.chain.push_back(tree_.node_id(tier, tree_.node_covering(tier, owner)));
 
   // Downlink: one ModelDown (task slot 0, round field = job id) carrying
   // the dispatch-time weight snapshot and the forked Rng — hop by hop down
@@ -1180,36 +1179,64 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   Arrival down;
   down.at_s = now_s;
   std::int32_t src = kServerId;
-  for (std::size_t k = 0; k <= chain.size(); ++k) {
-    const std::int32_t dst = k < chain.size() ? chain[k] : client;
+  for (std::size_t k = 0; k <= j.chain.size(); ++k) {
+    const std::int32_t dst = k < j.chain.size() ? j.chain[k] : client;
     if (!net_->send(src, dst,
                     encode_frame(MsgType::ModelDown, job, src, dst, payload),
                     down.at_s))
-      return t;  // LostDown: the device never saw the job
+      return j;  // LostDown: the device never saw the job
     down = first_arrival(*net_, dst, job, MsgType::ModelDown);
     src = dst;
   }
+  j.delivered = true;
+  j.down_at_s = down.at_s;
+  j.compute_s = local_train_macs(prototype_, local_) /
+                net_->device(client).compute_macs_per_s;
+  j.weights = std::move(down.msg.weights);
+  j.rng_state = down.msg.rng_state;
+  return j;
+}
 
-  // Client side: train on receipt.
-  Model local = prototype_;
-  local.set_weights(down.msg.weights);
-  Rng crng;
-  crng.set_state(down.msg.rng_state);
-  t.res = byzantine_local_train(local, data_->client(client),
-                                data_->num_classes(), local_, crng,
-                                net_->faults(), job, client);
-  const double compute_s =
-      t.res.macs_used / net_->device(client).compute_macs_per_s;
-  const double done_s = down.at_s + compute_s;
-  FT_VSPAN_ARG("client", "train", down.at_s, compute_s, kTrackClients + client,
-               "job", job);
-  t.busy_s = done_s - now_s;
+std::vector<AsyncTurnaround> FederationServer::async_complete(
+    std::vector<AsyncJob>& jobs) {
+  FT_SPAN_ARG("server", "async_exchange", "jobs", jobs.size());
+  std::vector<AsyncTurnaround> turns(jobs.size());
+  // Client side: every delivered job trains on receipt, one client per
+  // pool task. Inputs were fixed at dispatch and each task writes only
+  // its own slot, so the results do not depend on the thread schedule.
+  ThreadPool::global().parallel_for(
+      static_cast<std::int64_t>(jobs.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          AsyncJob& j = jobs[static_cast<std::size_t>(i)];
+          if (!j.delivered) continue;
+          Model local = prototype_;
+          local.set_weights(j.weights);
+          j.weights = WeightSet{};
+          Rng crng;
+          crng.set_state(j.rng_state);
+          turns[static_cast<std::size_t>(i)].res = byzantine_local_train(
+              local, data_->client(j.client), data_->num_classes(), local_,
+              crng, net_->faults(), j.job, j.client);
+        }
+      });
+  for (std::size_t i = 0; i < jobs.size(); ++i) async_uplink(jobs[i], turns[i]);
+  return turns;
+}
 
-  if (net_->client_dropped_out(job, client)) {
+void FederationServer::async_uplink(const AsyncJob& j, AsyncTurnaround& t) {
+  if (!j.delivered) return;  // LostDown
+  const std::uint64_t retry0 = net_->stats().retry_bytes_up.load();
+  const double done_s = j.down_at_s + j.compute_s;
+  FT_VSPAN_ARG("client", "train", j.down_at_s, j.compute_s,
+               kTrackClients + j.client, "job", j.job);
+  t.busy_s = done_s - j.sent_at_s;
+
+  if (net_->client_dropped_out(j.job, j.client)) {
     t.outcome = ClientOutcome::Dropout;
     net_->stats_mutable().client_dropouts.fetch_add(
         1, std::memory_order_relaxed);
-    return t;  // trained, then vanished — no upload, no retries
+    return;  // trained, then vanished — no upload, no retries
   }
 
   // Uplink under the retry policy: client → its leaf, then hop by hop back
@@ -1217,16 +1244,16 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   // hop forwards the UpdateUp it decoded, re-addressed.
   Arrival up;
   up.msg.type = MsgType::UpdateUp;
-  up.msg.round = job;
+  up.msg.round = j.job;
   up.msg.task = 0;
   up.msg.weights = std::move(t.res.delta);
   up.msg.avg_loss = t.res.avg_loss;
   up.msg.num_samples = t.res.num_samples;
   up.msg.macs_used = t.res.macs_used;
   up.at_s = done_s;
-  src = client;
-  for (std::size_t k = chain.size() + 1; k-- > 0;) {
-    const std::int32_t dst = k == 0 ? kServerId : chain[k - 1];
+  std::int32_t src = j.client;
+  for (std::size_t k = j.chain.size() + 1; k-- > 0;) {
+    const std::int32_t dst = k == 0 ? kServerId : j.chain[k - 1];
     FabricMessage& msg = up.msg;
     msg.sender = src;
     msg.receiver = dst;
@@ -1240,9 +1267,9 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
       t.retry_up_bytes = static_cast<double>(
           net_->stats().retry_bytes_up.load() - retry0);
       t.outcome = ClientOutcome::LostUp;
-      return t;
+      return;
     }
-    up = first_arrival(*net_, dst, job, MsgType::UpdateUp);
+    up = first_arrival(*net_, dst, j.job, MsgType::UpdateUp);
     src = dst;
   }
   t.retry_up_bytes = static_cast<double>(
@@ -1250,8 +1277,7 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   t.update_at_s = up.at_s;
   t.res.delta = std::move(up.msg.weights);
   t.outcome = ClientOutcome::Trained;
-  t.busy_s = std::max(t.busy_s, t.update_at_s - now_s);
-  return t;
+  t.busy_s = std::max(t.busy_s, t.update_at_s - j.sent_at_s);
 }
 
 }  // namespace fedtrans

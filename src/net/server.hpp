@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -102,20 +103,41 @@ class FabricTree {
   int total_ = 0;
 };
 
-/// One asynchronous (FedBuff-mode) fabric round trip: ModelDown to one
-/// client, local training on receipt, UpdateUp back — with the retry
-/// policy applied to the uplink. `update_at_s` is the server-side delivery
-/// instant of the UpdateUp, which is what orders completions in the
-/// engine's fabric-backed async event loop.
+/// The downlink half of one asynchronous (FedBuff-mode) fabric round trip:
+/// the ModelDown has reached the client (or was lost), and the client has
+/// not trained yet. Everything training needs was fixed at dispatch — the
+/// decoded weight snapshot and Rng — so the jobs in flight are independent
+/// and `FederationServer::async_complete` can train them concurrently.
+struct AsyncJob {
+  std::uint32_t job = 0;
+  int client = 0;
+  double sent_at_s = 0.0;  ///< dispatch instant
+  /// The ModelDown reached the device. False is LostDown, final at
+  /// dispatch: the device never saw the job.
+  bool delivered = false;
+  /// This job's leaf was dead and the round trip was routed through a
+  /// sibling (tree sessions only; counted into RoundRecord by the engine).
+  bool failed_over = false;
+  double down_at_s = 0.0;  ///< ModelDown delivery at the device
+  /// Local training time: a pure function of the model spec and the device,
+  /// so `down_at_s + compute_s` bounds the UpdateUp's delivery from below
+  /// before the client has trained.
+  double compute_s = 0.0;
+  std::vector<std::int32_t> chain;  ///< tier-1-to-leaf aggregator endpoints
+  WeightSet weights;  ///< decoded snapshot; released once trained
+  std::array<std::uint64_t, 4> rng_state{};
+};
+
+/// The completed round trip of one AsyncJob: local training on receipt,
+/// then UpdateUp back under the retry policy. `update_at_s` is the
+/// server-side delivery instant of the UpdateUp, which is what orders
+/// completions in the engine's fabric-backed async event loop.
 struct AsyncTurnaround {
   ClientOutcome outcome = ClientOutcome::LostDown;
   double update_at_s = 0.0;  ///< UpdateUp delivery time; valid iff Trained
   double busy_s = 0.0;       ///< device time burned (downlink + train + up)
   double retry_up_bytes = 0.0;  ///< resend traffic of this turnaround
-  /// This job's leaf was dead and the round trip was routed through a
-  /// sibling (tree sessions only; counted into RoundRecord by the engine).
-  bool failed_over = false;
-  LocalTrainResult res;      ///< metrics always; delta valid iff Trained
+  LocalTrainResult res;      ///< metrics iff trained; delta valid iff Trained
 };
 
 /// Per-client memory of the last model each client decoded from a
@@ -247,19 +269,28 @@ class FederationServer {
                            const std::vector<Rng>& client_rngs,
                            const std::vector<std::int32_t>& reduce_keys = {});
 
-  /// One asynchronous round trip for the engine's fabric-backed FedBuff
-  /// loop: send `global` to `client` as a ModelDown at simulated instant
-  /// `now_s` (round field = `job`), let the agent train on receipt and
-  /// upload UpdateUp under the retry policy, and collect it from the
-  /// server mailbox. The frames hop through the tree's nodes above the
+  /// Downlink step of an asynchronous round trip for the engine's
+  /// fabric-backed FedBuff loop: send `global` to `client` as a ModelDown
+  /// at simulated instant `now_s` (round field = `job`) and decode it on
+  /// the device. The frames hop through the tree's nodes above the
   /// client's leaf partition (leaf = client % leaves, failover applied) on
   /// the zero-latency backbone — none on a flat fabric — so the server-side
   /// delivery order the engine folds completions in does not depend on the
-  /// tree's depth.
-  /// Pure message passing — no aggregation state here.
-  AsyncTurnaround async_exchange(std::uint32_t job, int client,
-                                 const WeightSet& global, const Rng& rng,
-                                 double now_s);
+  /// tree's depth. Pure message passing — no aggregation state here.
+  AsyncJob async_downlink(std::uint32_t job, int client,
+                          const WeightSet& global, const Rng& rng,
+                          double now_s);
+
+  /// Training and uplink steps of a batch of dispatched jobs, one
+  /// turnaround per job in `jobs` order. Every delivered job trains
+  /// concurrently on the shared ThreadPool (one client per task; GEMMs
+  /// nested inside a client run inline), releasing its snapshot. Then,
+  /// strictly in `jobs` order on the calling thread, each job draws its
+  /// dropout and sends its UpdateUp legs under the retry policy. Every
+  /// link carries only downlinks or only uplinks, so as long as the caller
+  /// passes jobs in dispatch order the per-link fault sequence is the one
+  /// a whole round trip per dispatch would have drawn.
+  std::vector<AsyncTurnaround> async_complete(std::vector<AsyncJob>& jobs);
 
   Phase phase() const { return phase_; }
   const Transport& transport() const { return *net_; }
@@ -317,6 +348,9 @@ class FederationServer {
   void send_partial(std::uint32_t round, std::int32_t node,
                     std::int32_t parent, PartialUpdate& p, double sent_at_s,
                     ExchangeResult& out);
+  /// Dropout draw and UpdateUp legs of one trained job (`t.res` holds its
+  /// training result); a no-op for a LostDown job.
+  void async_uplink(const AsyncJob& j, AsyncTurnaround& t);
   /// The leaf serving partition `s` in `round` under the failover policy
   /// (itself when alive, else the next alive sibling, wrapping; -1 when
   /// the whole sibling group is dead).

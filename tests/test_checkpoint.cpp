@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -223,6 +224,45 @@ TEST(CheckpointTest, RejectsTruncatedStream) {
       std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
       fast_cfg());
   EXPECT_THROW(load_checkpoint(b, cut), Error);
+}
+
+TEST(CheckpointTest, ForgedHistoryCountFailsBeforeAllocating) {
+  // The round-history count is an untrusted u64. A count of 2^40 records
+  // must fail at its guard with a typed Error, not reach reserve() and
+  // throw std::length_error / std::bad_alloc (or try to allocate ~70 TB).
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  FederationEngine a(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  for (int r = 0; r < 2; ++r) a.run_round();
+  std::stringstream ss;
+  save_checkpoint(a, ss);
+  std::string bytes = ss.str();
+
+  // The history is the checkpoint's tail: the u64 count, then each record
+  // (68 bytes of fixed fields and list count, 4 per Byzantine client id).
+  std::size_t records = 0;
+  for (const RoundRecord& rec : a.history())
+    records += 68 + 4 * rec.byzantine_clients.size();
+  const std::size_t at = bytes.size() - records - sizeof(std::uint64_t);
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + at, sizeof count);
+  ASSERT_EQ(count, a.history().size()) << "history count not where expected";
+  const std::uint64_t forged = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + at, &forged, sizeof forged);
+
+  std::stringstream in(bytes);
+  FederationEngine b(
+      std::make_unique<FedTransStrategy>(tiny_model(), fast_cfg()), data, fleet,
+      fast_cfg());
+  try {
+    load_checkpoint(b, in);
+    ADD_FAILURE() << "forged history count was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("history count"), std::string::npos)
+        << "failed somewhere other than the count guard: " << e.what();
+  }
 }
 
 TEST(CheckpointTest, RejectsMismatchedSeed) {

@@ -18,11 +18,15 @@
 // redirect billed and recorded; (9) fault-free fabric rounds of the
 // multi-model strategies (HeteroFL, SplitMix, FedTrans) are bitwise
 // identical to in-process ones; (10) every client dropout is counted, on the
-// sync and on the async path.
+// sync and on the async path; (11) async jobs trained in one parallel batch,
+// uplinks in dispatch order, are bitwise what one round trip per dispatch
+// gives, at any thread count and on either transport, under every fault.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
+#include <sstream>
 #include <string>
 
 #include "baselines/hetero_fl.hpp"
@@ -32,6 +36,7 @@
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace fedtrans {
@@ -990,13 +995,15 @@ TEST(AsyncFabricTest, EveryDropoutIsCounted) {
   FederationServer server(proto, data, fleet, local, faults,
                           FabricTopology{});
   const WeightSet global = proto.weights();
-  std::uint64_t dropouts = 0;
+  std::vector<AsyncJob> jobs;
   for (std::uint32_t job = 0; job < 30; ++job) {
     Rng crng(100 + job);
-    const AsyncTurnaround turn = server.async_exchange(
-        job, static_cast<int>(job) % data.num_clients(), global, crng, 0.0);
-    if (turn.outcome == ClientOutcome::Dropout) ++dropouts;
+    jobs.push_back(server.async_downlink(
+        job, static_cast<int>(job) % data.num_clients(), global, crng, 0.0));
   }
+  std::uint64_t dropouts = 0;
+  for (const AsyncTurnaround& turn : server.async_complete(jobs))
+    if (turn.outcome == ClientOutcome::Dropout) ++dropouts;
   EXPECT_GT(dropouts, 0u) << "a 0.3 dropout rate must drop someone in 30";
   EXPECT_EQ(server.stats().client_dropouts.load(), dropouts);
 
@@ -1010,6 +1017,243 @@ TEST(AsyncFabricTest, EveryDropoutIsCounted) {
   for (ClientOutcome o : ex.outcomes)
     if (o == ClientOutcome::Dropout) ++dropouts;
   EXPECT_EQ(server.stats().client_dropouts.load(), dropouts);
+}
+
+// ---------------------------------------------------------------------------
+// Batched async training: the engine trains every job in flight at once and
+// runs their uplinks afterwards, in dispatch order. Each link carries only
+// downlinks or only uplinks, so that is bitwise what one whole round trip
+// per dispatch produces — on either transport, at any thread count, under
+// every fault the fabric injects.
+
+/// Every FabricStats counter, for exact comparison.
+std::string stats_line(const FabricStats& s) {
+  std::ostringstream os;
+  for (const std::atomic<std::uint64_t>* c :
+       {&s.frames_sent, &s.frames_delivered, &s.frames_dropped,
+        &s.frames_duplicated, &s.frames_reordered, &s.bytes_sent,
+        &s.bytes_delivered, &s.client_dropouts, &s.frames_rejected,
+        &s.frames_retried, &s.retry_bytes_down, &s.retry_bytes_up,
+        &s.leaf_failovers, &s.failover_bytes_down, &s.bytes_root_in,
+        &s.bytes_downlink, &s.cache_hits, &s.cache_saved_bytes,
+        &s.delta_downlinks, &s.delta_saved_bytes})
+    os << c->load() << ' ';
+  return os.str();
+}
+
+/// Drop, duplication, reordering, client dropout, leaf death and a 30%
+/// sign-flip attack, with a retry budget.
+void apply_async_faults(SessionConfig& cfg) {
+  cfg.fabric_faults.drop_prob = 0.15;
+  cfg.fabric_faults.dup_prob = 0.2;
+  cfg.fabric_faults.reorder_prob = 0.25;
+  cfg.fabric_faults.dropout_prob = 0.1;
+  cfg.fabric_faults.leaf_death_prob = 0.15;
+  cfg.fabric_faults.byzantine_prob = 0.3;
+  cfg.fabric_faults.byzantine_mode = ByzantineMode::SignFlip;
+  cfg.fabric_faults.seed = 61;
+  cfg.topology.levels = 3;
+  cfg.topology.shards = 4;
+  cfg.topology.branching = 2;
+  cfg.topology.max_retries = 2;
+  cfg.topology.ack_timeout_s = 30.0;
+}
+
+TEST(AsyncFabricTest, FaultedTreeSessionIsBitwiseAcrossThreadsAndTransports) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(8);
+  Model init(tiny_model(), rng);
+  const int prev_threads = ThreadPool::global().size();
+
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 8;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 8;
+  cfg.local.steps = 2;
+  cfg.local.batch = 4;
+  cfg.eval_every = 4;
+  cfg.eval_clients = 6;
+  cfg.seed = 19;
+  cfg.use_fabric = true;
+  apply_async_faults(cfg);
+
+  struct Run {
+    WeightSet weights;
+    std::vector<RoundRecord> history;
+    double macs = 0.0, bytes = 0.0, now_s = 0.0;
+    std::uint64_t time_count = 0;
+    double time_mean = 0.0, time_std = 0.0;
+    std::vector<double> times;
+    std::string stats;
+    std::uint64_t dropped = 0, duplicated = 0, reordered = 0, dropouts = 0,
+                  failovers = 0, rejected = 0;
+  };
+  auto run = [&](bool socket, int threads) {
+    ThreadPool::set_global_threads(threads);
+    SessionConfig c = cfg;
+    if (socket) c.with_socket_transport();
+    FederationEngine e(
+        std::make_unique<FedBuffStrategy>(init, ServerOptKind::FedAvg), data,
+        fleet, c);
+    e.run();
+    Run r;
+    r.weights = e.strategy_as<FedBuffStrategy>().model().weights();
+    r.history = e.history();
+    r.macs = e.costs().total_macs();
+    r.bytes = e.costs().network_bytes();
+    r.now_s = e.now_s();
+    r.time_count = e.costs().client_time_count();
+    r.time_mean = e.costs().client_time_mean();
+    r.time_std = e.costs().client_time_std();
+    r.times = e.costs().client_times_s();
+    const FabricStats& st = e.fabric()->stats();
+    r.stats = stats_line(st);
+    r.dropped = st.frames_dropped.load();
+    r.duplicated = st.frames_duplicated.load();
+    r.reordered = st.frames_reordered.load();
+    r.dropouts = st.client_dropouts.load();
+    r.failovers = st.leaf_failovers.load();
+    r.rejected = st.frames_rejected.load();
+    return r;
+  };
+
+  auto attacks = [] {
+    const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+    const auto it = snap.counters.find("fedtrans_byzantine_attacks_total");
+    return it == snap.counters.end() ? 0.0 : it->second;
+  };
+  const double attacks0 = attacks();
+  const Run ref = run(/*socket=*/false, 1);
+  // Every fault fired, and no frame was undecodable.
+  EXPECT_GT(attacks(), attacks0) << "a 30% attack rate must strike";
+  int lost = 0;
+  for (const RoundRecord& rec : ref.history) lost += rec.lost_updates;
+  EXPECT_GT(lost, 0);
+  EXPECT_GT(ref.dropped, 0u);
+  EXPECT_GT(ref.duplicated, 0u);
+  EXPECT_GT(ref.reordered, 0u);
+  EXPECT_GT(ref.dropouts, 0u);
+  EXPECT_GT(ref.failovers, 0u);
+  EXPECT_EQ(ref.rejected, 0u);
+  // Every dispatched job's device time is billed once, in-flight ones at
+  // the end included: the initial `concurrency` plus one replacement per
+  // folded or lost update (the loop stops on the ship, so none is lost
+  // after the last version).
+  EXPECT_EQ(ref.time_count,
+            static_cast<std::uint64_t>(cfg.async.concurrency +
+                                       cfg.async.aggregations *
+                                           cfg.async.buffer_size +
+                                       lost));
+
+  for (bool socket : {false, true}) {
+    for (int threads : {1, 2, 4}) {
+      if (!socket && threads == 1) continue;
+      SCOPED_TRACE(std::string(socket ? "socket" : "sim") + " at " +
+                   std::to_string(threads) + " threads");
+      const Run r = run(socket, threads);
+      ASSERT_EQ(r.weights.size(), ref.weights.size());
+      for (std::size_t i = 0; i < r.weights.size(); ++i)
+        EXPECT_EQ(testing::max_abs_diff(r.weights[i], ref.weights[i]), 0.0)
+            << "tensor " << i;
+      ASSERT_EQ(r.history.size(), ref.history.size());
+      for (std::size_t k = 0; k < r.history.size(); ++k) {
+        const RoundRecord& a = r.history[k];
+        const RoundRecord& b = ref.history[k];
+        EXPECT_EQ(a.avg_loss, b.avg_loss) << "version " << k;
+        EXPECT_EQ(a.cum_macs, b.cum_macs) << "version " << k;
+        EXPECT_EQ(a.round_time_s, b.round_time_s) << "version " << k;
+        EXPECT_EQ(a.accuracy, b.accuracy) << "version " << k;
+        EXPECT_EQ(a.lost_updates, b.lost_updates) << "version " << k;
+        EXPECT_EQ(a.leaf_failovers, b.leaf_failovers) << "version " << k;
+        EXPECT_EQ(a.byzantine_clients, b.byzantine_clients) << "version " << k;
+      }
+      EXPECT_EQ(r.macs, ref.macs);
+      EXPECT_EQ(r.bytes, ref.bytes);
+      EXPECT_EQ(r.now_s, ref.now_s);
+      EXPECT_EQ(r.time_count, ref.time_count);
+      EXPECT_EQ(r.time_mean, ref.time_mean);
+      EXPECT_EQ(r.time_std, ref.time_std);
+      EXPECT_EQ(r.times, ref.times);
+      EXPECT_EQ(r.stats, ref.stats);
+    }
+  }
+  ThreadPool::set_global_threads(prev_threads);
+}
+
+TEST(AsyncFabricTest, BatchedCompletionMatchesOneJobAtATime) {
+  // The server half of the same contract: 24 jobs over 12 clients (so a
+  // batch holds the same client twice and shares every backbone link),
+  // all dispatched at t = 0 so they finish training out of dispatch order,
+  // completed in one batch on 4 threads give the turnarounds and counters
+  // of completing each job right after its own downlink.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(8);
+  Model proto(tiny_model(), rng);
+  LocalTrainConfig local;
+  local.steps = 2;
+  local.batch = 4;
+  SessionConfig faulted;
+  apply_async_faults(faulted);
+  const WeightSet global = proto.weights();
+  const int prev_threads = ThreadPool::global().size();
+  constexpr std::uint32_t kJobs = 24;
+
+  for (TransportKind kind : {TransportKind::Sim, TransportKind::Socket}) {
+    SCOPED_TRACE(kind == TransportKind::Sim ? "sim" : "socket");
+    auto downlink = [&](FederationServer& server, std::uint32_t job) {
+      Rng crng(300 + job);
+      return server.async_downlink(
+          job, static_cast<int>(job * 5) % data.num_clients(), global, crng,
+          0.0);
+    };
+
+    ThreadPool::set_global_threads(1);
+    FederationServer serial(proto, data, fleet, local, faulted.fabric_faults,
+                            faulted.topology, kind);
+    std::vector<AsyncJob> serial_jobs;
+    std::vector<AsyncTurnaround> serial_turns;
+    for (std::uint32_t job = 0; job < kJobs; ++job) {
+      std::vector<AsyncJob> one{downlink(serial, job)};
+      serial_turns.push_back(std::move(serial.async_complete(one).front()));
+      serial_jobs.push_back(std::move(one.front()));
+    }
+
+    ThreadPool::set_global_threads(4);
+    FederationServer batched(proto, data, fleet, local,
+                             faulted.fabric_faults, faulted.topology, kind);
+    std::vector<AsyncJob> jobs;
+    for (std::uint32_t job = 0; job < kJobs; ++job)
+      jobs.push_back(downlink(batched, job));
+    const std::vector<AsyncTurnaround> turns = batched.async_complete(jobs);
+
+    ASSERT_EQ(turns.size(), serial_turns.size());
+    int trained = 0;
+    for (std::size_t i = 0; i < turns.size(); ++i) {
+      const AsyncTurnaround& a = turns[i];
+      const AsyncTurnaround& b = serial_turns[i];
+      EXPECT_EQ(jobs[i].delivered, serial_jobs[i].delivered) << "job " << i;
+      EXPECT_EQ(jobs[i].down_at_s, serial_jobs[i].down_at_s) << "job " << i;
+      EXPECT_EQ(a.outcome, b.outcome) << "job " << i;
+      EXPECT_EQ(a.update_at_s, b.update_at_s) << "job " << i;
+      EXPECT_EQ(a.busy_s, b.busy_s) << "job " << i;
+      EXPECT_EQ(a.retry_up_bytes, b.retry_up_bytes) << "job " << i;
+      EXPECT_EQ(a.res.avg_loss, b.res.avg_loss) << "job " << i;
+      EXPECT_EQ(a.res.macs_used, b.res.macs_used) << "job " << i;
+      if (a.outcome != ClientOutcome::Trained) continue;
+      ++trained;
+      ASSERT_EQ(a.res.delta.size(), b.res.delta.size());
+      for (std::size_t t = 0; t < a.res.delta.size(); ++t)
+        EXPECT_EQ(testing::max_abs_diff(a.res.delta[t], b.res.delta[t]), 0.0)
+            << "job " << i << " tensor " << t;
+    }
+    EXPECT_GT(trained, 0);
+    EXPECT_LT(trained, static_cast<int>(kJobs)) << "the faults must bite";
+    EXPECT_EQ(stats_line(batched.stats()), stats_line(serial.stats()));
+  }
+  ThreadPool::set_global_threads(prev_threads);
 }
 
 // ---------------------------------------------------------------------------

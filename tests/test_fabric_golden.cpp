@@ -63,7 +63,7 @@ struct Golden {
 // its only leaf) must send exactly these frames. Sim and socket runs agree
 // line for line, as the transports' fault draws are shared.
 // The faulted FedBuff lines' dropouts= are async round trips whose client
-// trained and then vanished (FederationServer::async_exchange), counted
+// trained and then vanished (FederationServer::async_complete), counted
 // like the sync path's.
 const Golden kGoldens[] = {
     {"fedavg/sim/clean", 0x8767da34da567388ULL,
